@@ -60,6 +60,8 @@ class BitSequence:
         """Interpret raw bytes as a bit sequence, MSB of byte 0 first."""
         if nbits is None:
             nbits = 8 * len(data)
+        if nbits < 0:
+            raise ValueError("negative bit count")
         if nbits > 8 * len(data):
             raise ValueError("nbits exceeds the data")
         if nbits == 0:

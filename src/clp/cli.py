@@ -17,8 +17,6 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import List, Optional
 
-import numpy as np
-
 from .bits import BitSequence
 from .codec import (
     EncodedStream,
@@ -101,28 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bits(path: str, limit: Optional[int]) -> BitSequence:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if limit is not None:
-        if not 0 <= limit <= unpacked.size:
-            raise ValueError(f"--bits {limit} but the file holds {unpacked.size} bits")
-        unpacked = unpacked[:limit]
-    packed = np.packbits(unpacked, bitorder="little").tobytes()
-    return BitSequence(int.from_bytes(packed, "little"), int(unpacked.size))
-
-
-def _write_bits(path: str, seq: BitSequence) -> None:
-    raw = seq.value.to_bytes((seq.length + 7) // 8 or 1, "little")
-    unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                             bitorder="little")[: seq.length]
-    with open(path, "wb") as fh:
-        fh.write(np.packbits(unpacked).tobytes())
-
-
 def _cmd_encode(args) -> int:
-    x = _read_bits(args.infile, args.bits)
+    with open(args.infile, "rb") as fh:
+        data = fh.read()
+    if args.bits is not None and not 0 <= args.bits <= 8 * len(data):
+        raise ValueError(f"--bits {args.bits} but the file holds {8 * len(data)} bits")
+    x = BitSequence.from_bytes_msb(data, args.bits)
     if args.variant == "practical":
         result = encode_practical(x, args.distortion, src=args.p)
         stream, y = result.stream, result.y
@@ -145,7 +127,8 @@ def _cmd_decode(args) -> int:
         data = fh.read()
     stream = EncodedStream.from_bytes(data)
     y = decode(stream)
-    _write_bits(args.outfile, y)
+    with open(args.outfile, "wb") as fh:
+        fh.write(y.to_bytes_msb())
     print(f"{len(data)} bytes -> {y.length} bits")
     return EXIT_OK
 

@@ -10,7 +10,8 @@ Layout of a serialized stream (all integers big-endian):
     17      4     distortion denominator
     21      4     source-bias numerator
     25      4     source-bias denominator (0xFFFFFFFF means "unknown")
-    29      2     level step ell (0 for the practical coder)
+    29      2     level step ell (0 for the practical coder, 1-16 for the
+                  idealized coder)
     31      1     coder id: 0 practical, 1 idealized
     32      1     match relation: 0 full-codelet, 1 prefix-wise
 
@@ -26,10 +27,11 @@ codelet ever admitted to the dictionary, from which the decoder
 recovers both the phrase bits and its level.  Truncated binary for a
 range of m values spends w = floor(log2 m) bits on the first
 2^(w+1) - m slot numbers and w + 1 bits on the rest, keeping the code
-prefix-free and complete.  Escapes and phrase extensions grow the
-dictionary identically on both sides, which keeps the slot ranges in
-lockstep.  Bit order inside the payload is most-significant-first per
-byte; raw source bits appear in source order.
+prefix-free and complete.  Encoder and decoder run the same parse
+loop, _idealized_parse, and only that loop grows the dictionary, so
+the slot ranges stay in lockstep by construction.  Bit order inside
+the payload is most-significant-first per byte; raw source bits
+appear in source order.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .bits import BitSequence, concat_bits
 from .dictionary import (
+    _MAX_STEP,
     CodebookTree,
     LevelConfig,
     LevelNode,
@@ -127,7 +130,7 @@ class Header:
             raise ValueError("distortion must be a fraction in [0, 1]")
         if self.p_den != _P_UNKNOWN and not (1 <= self.p_den and 0 <= self.p_num <= self.p_den):
             raise ValueError("source bias must be a fraction in [0, 1] or unknown")
-        if not 0 <= self.ell <= 0xFFFF:
+        if not 0 <= self.ell <= _MAX_STEP:
             raise ValueError("level step out of range")
         if self.variant not in (VARIANT_PRACTICAL, VARIANT_IDEALIZED):
             raise ValueError("unknown coder id")
@@ -195,12 +198,6 @@ class BitWriter:
     def write_bit(self, bit: int) -> None:
         self.write(bit & 1, 1)
 
-    def write_gamma(self, k: int) -> None:
-        """Elias-gamma: k >= 1 in 2*bitlen(k) - 1 bits."""
-        if k < 1:
-            raise ValueError("gamma codes cover positive integers only")
-        self.write(k, 2 * k.bit_length() - 1)
-
     def write_trunc(self, value: int, bound: int) -> None:
         """Truncated binary for value in [0, bound); 0 bits when bound is 1."""
         if not 0 <= value < bound:
@@ -244,14 +241,6 @@ class BitReader:
 
     def read_bit(self) -> int:
         return self.read(1)
-
-    def read_gamma(self) -> int:
-        zeros = 0
-        while self.read(1) == 0:
-            zeros += 1
-            if zeros > 63:
-                raise CorruptStream("runaway level code")
-        return (1 << zeros) | self.read(zeros)
 
     def read_trunc(self, bound: int) -> int:
         """Inverse of BitWriter.write_trunc for the same bound."""
@@ -515,6 +504,40 @@ def _estimate_src(src: Optional[SourceModel], y_ones: int, y_len: int) -> Source
     return SourceModel(Fraction(y_ones, y_len))
 
 
+def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceModel],
+                     next_phrase) -> Tuple[BitSequence, int]:
+    """The parse loop both idealized sides run; returns (y, promotions).
+
+    next_phrase(pos, rem) handles one record, writing it or reading it,
+    and returns the phrase's reconstruction bits, their count and the
+    codelet used (None for an escape).  All dictionary growth happens
+    here, so the encoder and decoder grow it identically by
+    construction: a phrase's first ell bits extend the codelet used one
+    phrase earlier to the next level, and a full-length escape admits
+    the level-1 candidates matching its raw bits.
+    """
+    parts: List[Tuple[int, int]] = []
+    pos = 0
+    y_ones = 0
+    promotions = 0
+    prev_node: Optional[LevelNode] = None
+    while pos < n:
+        seg, seglen, node = next_phrase(pos, n - pos)
+        parts.append((seg, seglen))
+        y_ones += seg.bit_count()
+        pos += seglen
+        if prev_node is not None and seglen >= ell:
+            ext = seg & ((1 << ell) - 1)
+            now = _estimate_src(sm, y_ones, pos)
+            if prev_node.children.get(ext) is None and not tree.level_full(prev_node.level + 1, now):
+                tree.promote(prev_node, ext, now)
+                promotions += 1
+        if node is None and seglen == ell:
+            tree.fill_level1(seg, _estimate_src(sm, y_ones, pos))
+        prev_node = node
+    return concat_bits(parts), promotions
+
+
 def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] = None,
                      ) -> "IdealizedResult":
     """Leveled coder with explicit escape records.
@@ -539,73 +562,41 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     writer = BitWriter()
     events: List[ParseEvent] = []
     stats = EncodeStats(tree=tree)
-    parts: List[Tuple[int, int]] = []
-    pos = 0
-    y_ones = 0
-    prev_node: Optional[LevelNode] = None
-    while pos < n:
-        rem = n - pos
-        node_used: Optional[LevelNode] = None
-        fill_after = False
-        slot_bound = len(tree.admitted) + 1
-        if rem < ell:
-            seg, seglen = x.window(pos, rem), rem
-            writer.write_trunc(0, slot_bound)
-            for i in range(seglen):
-                writer.write_bit((seg >> i) & 1)
-            events.append(ParseEvent(kind="escape", pos=pos, length=seglen,
-                                     x_bits=BitSequence(seg, seglen),
-                                     y_bits=BitSequence(seg, seglen), distortion=0))
-            stats.escapes += 1
-        else:
-            width = min(rem, max(tree.max_level(), 1) * ell)
-            wbits = x.window(pos, width)
-            best, frontier = tree.search(wbits, width)
-            for lvl, members in frontier.members.items():
-                prev_max = stats.max_frontier.get(lvl, 0)
-                if len(members) > prev_max:
-                    stats.max_frontier[lvl] = len(members)
-            if frontier.give_up:
-                stats.give_ups += 1
-                best = None
-            if best is None:
-                seg, seglen = x.window(pos, ell), ell
-                writer.write_trunc(0, slot_bound)
-                for i in range(ell):
-                    writer.write_bit((seg >> i) & 1)
-                events.append(ParseEvent(kind="escape", pos=pos, length=ell,
-                                         x_bits=BitSequence(seg, ell),
-                                         y_bits=BitSequence(seg, ell), distortion=0))
-                stats.escapes += 1
-                fill_after = True
-            else:
-                k = best.level
-                seglen = k * ell
-                seg = best.bits
-                writer.write_trunc(best.ordinal + 1, slot_bound)
-                xseg = x.window(pos, seglen)
-                d_inc = (xseg ^ seg).bit_count()
-                stats.distortion += d_inc
-                events.append(ParseEvent(kind="codelet", pos=pos, length=seglen,
-                                         x_bits=BitSequence(xseg, seglen),
-                                         y_bits=BitSequence(seg, seglen),
-                                         distortion=d_inc, level=k, index=best.ordinal))
-                node_used = best
-        parts.append((seg, seglen))
-        y_ones += seg.bit_count()
-        y_len = pos + seglen
-        if prev_node is not None and seglen >= ell:
-            ext = seg & ((1 << ell) - 1)
-            now = _estimate_src(sm, y_ones, y_len)
-            if prev_node.children.get(ext) is None and not tree.level_full(prev_node.level + 1, now):
-                tree.promote(prev_node, ext, now)
-                stats.promotions += 1
-        if fill_after:
-            tree.fill_level1(seg, _estimate_src(sm, y_ones, y_len))
-        prev_node = node_used
-        pos += seglen
+
+    def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
         stats.phrases += 1
-    y = concat_bits(parts)
+        slot_bound = len(tree.admitted) + 1
+        # a window shorter than ell matches nothing, so the tail escapes
+        width = min(rem, max(tree.max_level(), 1) * ell)
+        best, frontier = tree.search(x.window(pos, width), width)
+        for lvl, members in frontier.members.items():
+            if len(members) > stats.max_frontier.get(lvl, 0):
+                stats.max_frontier[lvl] = len(members)
+        if frontier.give_up:
+            stats.give_ups += 1
+            best = None
+        if best is None:
+            seglen = min(rem, ell)
+            seg = x.window(pos, seglen)
+            writer.write_trunc(0, slot_bound)
+            writer.write(lex_key(seg, seglen), seglen)  # MSB first = source order
+            raw = BitSequence(seg, seglen)
+            events.append(ParseEvent(kind="escape", pos=pos, length=seglen,
+                                     x_bits=raw, y_bits=raw, distortion=0))
+            stats.escapes += 1
+            return seg, seglen, None
+        seglen = best.level * ell
+        writer.write_trunc(best.ordinal + 1, slot_bound)
+        xseg = x.window(pos, seglen)
+        d_inc = (xseg ^ best.bits).bit_count()
+        stats.distortion += d_inc
+        events.append(ParseEvent(kind="codelet", pos=pos, length=seglen,
+                                 x_bits=BitSequence(xseg, seglen),
+                                 y_bits=BitSequence(best.bits, seglen),
+                                 distortion=d_inc, level=best.level, index=best.ordinal))
+        return best.bits, seglen, best
+
+    y, stats.promotions = _idealized_parse(n, ell, tree, sm, next_phrase)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
     stream = EncodedStream(header, writer.getvalue(), writer.bit_length)
@@ -614,54 +605,30 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
 
 def _decode_idealized(header: Header, payload: bytes,
                       cfg: Optional[LevelConfig]) -> BitSequence:
+    if header.ell < 1:
+        raise CorruptStream("idealized stream with zero level step")
     if cfg is None:
         cfg = LevelConfig(ell=header.ell)
     elif cfg.ell != header.ell:
         raise CorruptStream("level step disagrees with the header")
     ell = cfg.ell
-    if ell < 1:
-        raise CorruptStream("idealized stream with zero level step")
-    db = header.dist
-    sm = header.src
-    n = header.n
-    tree = idealized_build_init(cfg, db)
+    tree = idealized_build_init(cfg, header.dist)
     reader = BitReader(payload)
-    parts: List[Tuple[int, int]] = []
-    pos = 0
-    y_ones = 0
-    prev_node: Optional[LevelNode] = None
-    while pos < n:
-        rem = n - pos
-        node_used: Optional[LevelNode] = None
-        fill_after = False
+
+    def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
         slot = reader.read_trunc(len(tree.admitted) + 1)
         if slot == 0:
-            seglen = rem if rem < ell else ell
-            seg = 0
-            for i in range(seglen):
-                seg |= reader.read_bit() << i
-            fill_after = seglen == ell
-        else:
-            if slot > len(tree.admitted):
-                raise CorruptStream(f"slot {slot} has not been admitted yet")
-            node_used = tree.admitted[slot - 1]
-            seg = node_used.bits
-            seglen = node_used.level * ell
-            if seglen > rem:
-                raise CorruptStream("codelet overruns the declared length")
-        parts.append((seg, seglen))
-        y_ones += seg.bit_count()
-        y_len = pos + seglen
-        if prev_node is not None and seglen >= ell:
-            ext = seg & ((1 << ell) - 1)
-            now = _estimate_src(sm, y_ones, y_len)
-            if prev_node.children.get(ext) is None and not tree.level_full(prev_node.level + 1, now):
-                tree.promote(prev_node, ext, now)
-        if fill_after:
-            tree.fill_level1(seg, _estimate_src(sm, y_ones, y_len))
-        prev_node = node_used
-        pos += seglen
-    return concat_bits(parts)
+            seglen = min(rem, ell)
+            return lex_key(reader.read(seglen), seglen), seglen, None
+        if slot > len(tree.admitted):
+            raise CorruptStream(f"slot {slot} has not been admitted yet")
+        node = tree.admitted[slot - 1]
+        seglen = node.level * ell
+        if seglen > rem:
+            raise CorruptStream("codelet overruns the declared length")
+        return node.bits, seglen, node
+
+    return _idealized_parse(header.n, ell, tree, header.src, next_phrase)[0]
 
 
 def decode(stream, cfg: Optional[LevelConfig] = None) -> BitSequence:

@@ -35,16 +35,17 @@ __all__ = [
     "SearchFrontier",
     "CodebookTree",
     "init_practical",
-    "find_matches",
-    "extend_codelet",
     "level_size",
     "target_reproduction_type",
     "idealized_build_init",
-    "promote_to_next_level",
-    "partial_match_search",
     "lex_key",
     "default_step",
 ]
+
+
+# Largest level step: the level-1 table holds 2^ell candidates, and
+# default_step never exceeds 6 for inputs shorter than 2^64 symbols.
+_MAX_STEP = 16
 
 
 def lex_key(bits: int, length: int) -> int:
@@ -161,8 +162,8 @@ class LevelConfig:
     level_sizes: Optional[Dict[int, int]] = None
 
     def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError("step must be at least 1")
+        if not 1 <= self.ell <= _MAX_STEP:
+            raise ValueError(f"step must lie in [1, {_MAX_STEP}]")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if self.horizon_n is not None and self.horizon_n < 0:
@@ -176,7 +177,6 @@ class SearchFrontier:
     """Per-level partial matches seen by one search."""
 
     members: Dict[int, List[LevelNode]] = field(default_factory=dict)
-    work: Dict[int, int] = field(default_factory=dict)
     give_up: bool = False
 
     def size(self, level: int) -> int:
@@ -415,7 +415,6 @@ class CodebookTree:
                 current.append((node, pop[d]))
                 z1.append(node)
         frontier.members[1] = z1
-        frontier.work[1] = 1 << ell
         if z1:
             best = min(z1, key=lambda nd: nd.ordinal)
         level = 1
@@ -429,13 +428,11 @@ class CodebookTree:
             seg = (window_bits >> base) & ((1 << ell) - 1)
             nxt: List[Tuple[LevelNode, int]] = []
             znext: List[LevelNode] = []
-            touched = 0
             for node, m in current:
                 if not node.children:
                     continue
                 table = self._cont_table(level, m)
                 for ext, child in node.children.items():
-                    touched += 1
                     d = ext ^ seg
                     if table[d]:
                         nxt.append((child, m + pop[d]))
@@ -443,13 +440,12 @@ class CodebookTree:
             level += 1
             if znext:
                 frontier.members[level] = znext
-                frontier.work[level] = touched
                 best = min(znext, key=lambda nd: nd.ordinal)
             current = nxt
         return best, frontier
 
 
-# -- module-level operation wrappers ----------------------------------
+# -- constructors ------------------------------------------------------
 
 
 def init_practical(dist) -> CodebookTree:
@@ -457,29 +453,7 @@ def init_practical(dist) -> CodebookTree:
     return CodebookTree("practical", dist)
 
 
-def find_matches(tree: CodebookTree, x: BitSequence, dist=None,
-                 relation: MatchRelation = MatchRelation.FULL_CODELET) -> List[PracticalNode]:
-    return tree.find_matches(x, relation)
-
-
-def extend_codelet(tree: CodebookTree, leaf: PracticalNode):
-    return tree.extend_codelet(leaf)
-
-
 def idealized_build_init(cfg: LevelConfig, dist) -> CodebookTree:
     """Leveled dictionary at birth: every ell-length pattern is a candidate."""
     return CodebookTree("idealized", dist, cfg)
 
-
-def promote_to_next_level(tree: CodebookTree, leaf: LevelNode, extension: int, src):
-    if tree.level_full(leaf.level + 1, src):
-        raise LevelFull(f"level {leaf.level + 1} is at capacity")
-    return tree.promote(leaf, extension, src)
-
-
-def partial_match_search(tree: CodebookTree, x: BitSequence, dist=None):
-    """(deepest live match or None, frontier, give_up) for a window."""
-    best, frontier = tree.search(x.value, x.length)
-    if frontier.give_up:
-        return None, frontier, True
-    return best, frontier, False

@@ -22,9 +22,7 @@ from clp.codec import (
 from clp.dictionary import (
     LevelConfig,
     default_step,
-    find_matches,
     init_practical,
-    partial_match_search,
 )
 from clp.errors import LengthMismatch
 from clp.harness import (
@@ -39,6 +37,7 @@ from clp.harness import (
     rate_sweep,
 )
 from clp.matching import (
+    MatchRelation,
     ball_probability_exact,
     hamming_distance,
     match_probability_exact,
@@ -135,11 +134,11 @@ def test_criterion_02_worked_example_trace(capsys):
         problems.append(f"first phrase {res.events[0].y_bits.to01()!r} != '0'")
 
     tree = init_practical(half)
-    m1 = find_matches(tree, BitSequence.from_str("0"))
+    m1 = tree.find_matches(BitSequence.from_str("0"), MatchRelation.FULL_CODELET)
     tree.extend_codelet(select_codelet(m1, BitSequence.from_str("0"), 0, 0, half))
     if sorted(tree.leaf_strings()) != ["00", "01", "1"]:
         problems.append(f"C_1 = {sorted(tree.leaf_strings())}")
-    m2 = find_matches(tree, BitSequence.from_str("11"))
+    m2 = tree.find_matches(BitSequence.from_str("11"), MatchRelation.FULL_CODELET)
     if sorted(m.sequence().to01() for m in m2) != ["01", "1"]:
         problems.append(f"step-2 match set {sorted(m.sequence().to01() for m in m2)}")
     tree.extend_codelet(select_codelet(m2, BitSequence.from_str("11"), 0, 1, half))
@@ -297,7 +296,7 @@ def test_criterion_06_exhaustive_probability_and_search(capsys):
         for _ in range(10):
             wlen = int(rng.integers(1, 4 * ell + 2))
             window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-            got, _, gave_up = partial_match_search(tree, window)
+            got, frontier = tree.search(window.value, window.length)
             want = None
             for level in range(tree.max_level(), 0, -1):
                 depth = level * tree.ell
@@ -308,7 +307,7 @@ def test_criterion_06_exhaustive_probability_and_search(capsys):
                 if live:
                     want = min(live, key=lambda nd: nd.ordinal)
                     break
-            if gave_up or got is not want:
+            if frontier.give_up or got is not want:
                 bad_search += 1
             instance += 1
     if bad_search:

@@ -85,6 +85,8 @@ def test_bytes_msb_order():
     assert BitSequence.from_bytes_msb(b"\xa5", nbits=4).to01() == "1010"
     with pytest.raises(ValueError):
         BitSequence.from_bytes_msb(b"\x00", nbits=9)
+    with pytest.raises(ValueError):
+        BitSequence.from_bytes_msb(b"\x00", nbits=-1)
 
 
 @given(st.lists(bitstrings, max_size=12))

@@ -82,6 +82,15 @@ class TestEncodeDecode:
         enc.write_bytes(bytes(blob))
         assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
 
+    def test_practical_stream_relabelled_idealized(self, tmp_path, raw_file):
+        enc = tmp_path / "out.clp"
+        run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4",
+            "--variant", "practical")
+        blob = bytearray(enc.read_bytes())
+        blob[31] = 1  # coder id: idealized, but the header step is 0
+        enc.write_bytes(bytes(blob))
+        assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
+
     def test_truncated_stream(self, tmp_path, raw_file):
         enc = tmp_path / "out.clp"
         run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")

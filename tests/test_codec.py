@@ -25,7 +25,7 @@ from clp.codec import (
     lz78_encode,
     select_codelet,
 )
-from clp.dictionary import LevelConfig, find_matches, init_practical
+from clp.dictionary import LevelConfig, init_practical
 from clp.errors import BadMagic, CorruptStream, UnsupportedVersion
 from clp.matching import MatchRelation, hamming_distance
 
@@ -61,25 +61,6 @@ class TestBitIO:
         r.read(8)
         with pytest.raises(CorruptStream):
             r.read(1)
-
-    def test_gamma_small_codes(self):
-        # classic Elias gamma: 1 -> '1', 2 -> '010', 3 -> '011', 4 -> '00100'
-        for k, bits in [(1, "1"), (2, "010"), (3, "011"), (4, "00100")]:
-            w = BitWriter()
-            w.write_gamma(k)
-            assert w.bit_length == len(bits)
-            got = BitReader(w.getvalue())
-            assert got.read(len(bits)) == int(bits, 2)
-
-    def test_gamma_rejects_zero(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_gamma(0)
-
-    @given(st.integers(min_value=1, max_value=10**9))
-    def test_gamma_round_trip(self, k):
-        w = BitWriter()
-        w.write_gamma(k)
-        assert BitReader(w.getvalue()).read_gamma() == k
 
     def test_trunc_exhaustive_inverse(self):
         for bound in range(1, 65):
@@ -184,6 +165,14 @@ class TestHeader:
         with pytest.raises(CorruptStream):
             Header.unpack(bytes(raw))
 
+    def test_oversized_level_step_is_corrupt(self):
+        # rejected from the header alone, before any 2^ell table exists
+        raw = bytearray(Header.build(n=9, dist=Fraction(1, 4), ell=2,
+                                     variant=VARIANT_IDEALIZED).pack())
+        raw[29:31] = b"\xff\xff"
+        with pytest.raises(CorruptStream):
+            Header.unpack(bytes(raw))
+
     def test_build_validates_fraction_range(self):
         with pytest.raises(ValueError):
             Header.build(n=4, dist=Fraction(3, 2))
@@ -219,14 +208,14 @@ class TestPracticalCoder:
 
     def test_half_distortion_dictionary_states(self):
         tree = init_practical(Fraction(1, 2))
-        first = find_matches(tree, BitSequence.from_str("0"))
+        first = tree.find_matches(BitSequence.from_str("0"), MatchRelation.FULL_CODELET)
         assert sorted(m.sequence().to01() for m in first) == ["0"]
         chosen = select_codelet(first, BitSequence.from_str("0"), 0, 0,
                                 Fraction(1, 2))
         tree.extend_codelet(chosen)
         assert sorted(tree.leaf_strings()) == ["00", "01", "1"]
 
-        second = find_matches(tree, BitSequence.from_str("11"))
+        second = tree.find_matches(BitSequence.from_str("11"), MatchRelation.FULL_CODELET)
         assert sorted(m.sequence().to01() for m in second) == ["01", "1"]
         chosen = select_codelet(second, BitSequence.from_str("11"), 0, 1,
                                 Fraction(1, 2))
@@ -342,6 +331,13 @@ class TestIdealizedCoder:
         b = encode_idealized(x, Fraction(11, 100), src=Fraction(1, 2),
                              cfg=self.cfg(512))
         assert a.stream.to_bytes() == b.stream.to_bytes()
+
+    def test_practical_stream_relabelled_idealized_is_corrupt(self):
+        res = encode_practical(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = bytearray(res.stream.to_bytes())
+        raw[31] = VARIANT_IDEALIZED  # header ell stays 0
+        with pytest.raises(CorruptStream):
+            decode(bytes(raw))
 
     def test_truncated_payload_is_corrupt(self):
         rng = np.random.default_rng(37)

@@ -15,14 +15,10 @@ from clp.dictionary import (
     CodebookTree,
     LevelConfig,
     default_step,
-    extend_codelet,
-    find_matches,
     idealized_build_init,
     init_practical,
     level_size,
     lex_key,
-    partial_match_search,
-    promote_to_next_level,
     target_reproduction_type,
 )
 from clp.errors import LevelFull, NotALeaf
@@ -87,13 +83,13 @@ class TestPracticalTrie:
     def test_extend_splits_a_leaf(self):
         tree = init_practical(Fraction(1, 2))
         zero = next(l for l in tree.leaves() if l.sequence().to01() == "0")
-        c0, c1 = extend_codelet(tree, zero)
+        c0, c1 = tree.extend_codelet(zero)
         assert {c0.sequence().to01(), c1.sequence().to01()} == {"00", "01"}
         assert tree.leaf_strings() == {"00", "01", "1"}
         assert tree.leaf_count == 3
         assert tree.root.max_leaf_depth == 2
         with pytest.raises(NotALeaf):
-            extend_codelet(tree, zero)
+            tree.extend_codelet(zero)
 
     def test_max_leaf_depth_tracks_subtrees(self):
         tree = init_practical(0)
@@ -116,7 +112,7 @@ class TestPracticalTrie:
             tree = grow_random_trie(rng, int(rng.integers(0, 40)), d)
             wlen = int(rng.integers(1, 14))
             window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-            got = {(m.bits, m.depth) for m in find_matches(tree, window, relation=relation)}
+            got = {(m.bits, m.depth) for m in tree.find_matches(window, relation)}
             want = set()
             for leaf in tree.leaves():
                 if leaf.depth <= wlen and pred(window[: leaf.depth], leaf.sequence(), d):
@@ -125,7 +121,7 @@ class TestPracticalTrie:
 
     def test_find_matches_empty_window(self):
         tree = init_practical(Fraction(1, 2))
-        assert find_matches(tree, BitSequence.zeros(0)) == []
+        assert tree.find_matches(BitSequence.zeros(0), MatchRelation.FULL_CODELET) == []
 
 
 # -- idealized levels --------------------------------------------------
@@ -181,12 +177,12 @@ class TestIdealizedBuild:
         tree = idealized_build_init(small_config(level_sizes={1: 4, 2: 2}), QUARTER)
         tree.fill_level1(0b00, HALF)
         base = tree.levels[1][0]
-        a = promote_to_next_level(tree, base, 0b11, HALF)
+        a = tree.promote(base, 0b11, HALF)
         assert a.level == 2 and a.sequence(2).to01() == "0011"
-        assert promote_to_next_level(tree, base, 0b11, HALF) is a  # idempotent
-        promote_to_next_level(tree, base, 0b01, HALF)
+        assert tree.promote(base, 0b11, HALF) is a  # idempotent
+        tree.promote(base, 0b01, HALF)
         with pytest.raises(LevelFull):
-            promote_to_next_level(tree, base, 0b10, HALF)
+            tree.promote(base, 0b10, HALF)
         with pytest.raises(ValueError):
             tree.promote(tree.level1[0b11], 0, HALF)  # not live
 
@@ -211,7 +207,7 @@ def grow_idealized(rng, cfg: LevelConfig, dist, steps: int) -> CodebookTree:
             node = nodes[int(rng.integers(len(nodes)))]
             ext = int(rng.integers(0, 1 << cfg.ell))
             try:
-                promote_to_next_level(tree, node, ext, HALF)
+                tree.promote(node, ext, HALF)
             except LevelFull:
                 pass
     return tree
@@ -241,29 +237,31 @@ class TestIdealizedSearch:
             for _ in range(12):
                 wlen = int(rng.integers(1, 4 * ell + 2))
                 window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-                got, frontier, gave_up = partial_match_search(tree, window)
+                got, frontier = tree.search(window.value, window.length)
                 want = brute_deepest_match(tree, window, d)
-                assert not gave_up
+                assert not frontier.give_up
                 assert got is want, (trial, window.to01())
 
     def test_short_window_returns_nothing(self):
         tree = idealized_build_init(small_config(), QUARTER)
         tree.fill_level1(0, HALF)
-        best, frontier, gave_up = partial_match_search(tree, BitSequence.from_str("0"))
-        assert best is None and not gave_up
+        window = BitSequence.from_str("0")
+        best, frontier = tree.search(window.value, window.length)
+        assert best is None and not frontier.give_up
 
     def test_tie_breaks_by_admission_order(self):
         tree = idealized_build_init(small_config(), 1)  # D = 1: everything matches
         tree.fill_level1(0b00, HALF)
-        best, _, _ = partial_match_search(tree, BitSequence.from_str("11"))
+        window = BitSequence.from_str("11")
+        best, _ = tree.search(window.value, window.length)
         assert best is tree.levels[1][0]  # oldest admitted wins
 
     def test_frontier_records_members_per_level(self):
         tree = idealized_build_init(small_config(), 1)
         tree.fill_level1(0, HALF)
-        _, frontier, _ = partial_match_search(tree, BitSequence.from_str("10"))
+        window = BitSequence.from_str("10")
+        _, frontier = tree.search(window.value, window.length)
         assert frontier.size(1) == 4  # D = 1: all four level-1 codelets
-        assert frontier.work[1] == 4
 
     def test_give_up_on_a_flooded_frontier(self):
         # D = 1 with huge caps: level-3 frontier has 64^3 = 262144 live
@@ -279,16 +277,17 @@ class TestIdealizedSearch:
             for ext in range(64):
                 tree.promote(node, ext, HALF)
         window = BitSequence.zeros(24)
-        best, frontier, gave_up = partial_match_search(tree, window)
-        assert gave_up
-        assert best is None
+        _, frontier = tree.search(window.value, window.length)
         assert frontier.give_up
+        assert frontier.size(3) == 262144
 
 
 class TestLevelConfigValidation:
     def test_rejects_bad_settings(self):
         with pytest.raises(ValueError):
             LevelConfig(ell=0)
+        with pytest.raises(ValueError):
+            LevelConfig(ell=17)
         with pytest.raises(ValueError):
             LevelConfig(ell=2, delta=0.0)
         with pytest.raises(ValueError):
