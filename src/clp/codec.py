@@ -13,7 +13,10 @@ Layout of a serialized stream (all integers big-endian):
     29      2     level step ell (0 for the practical coder, 1-16 for the
                   idealized coder)
     31      1     coder id: 0 practical, 1 idealized
-    32      1     match relation: 0 full-codelet, 1 prefix-wise
+    32      1     match relation: 0 full-codelet, 1 prefix-wise (always 1
+                  for the idealized coder)
+
+A value outside the ones listed makes the stream corrupt.
 
 The payload follows immediately.  For the practical coder it is the
 LZ78 encoding of the reconstruction.  For the idealized coder it is a
@@ -130,12 +133,18 @@ class Header:
             raise ValueError("distortion must be a fraction in [0, 1]")
         if self.p_den != _P_UNKNOWN and not (1 <= self.p_den and 0 <= self.p_num <= self.p_den):
             raise ValueError("source bias must be a fraction in [0, 1] or unknown")
-        if not 0 <= self.ell <= _MAX_STEP:
-            raise ValueError("level step out of range")
-        if self.variant not in (VARIANT_PRACTICAL, VARIANT_IDEALIZED):
-            raise ValueError("unknown coder id")
         if self.relation not in (0, 1):
             raise ValueError("unknown match relation")
+        if self.variant == VARIANT_PRACTICAL:
+            if self.ell != 0:
+                raise ValueError("practical stream with a nonzero level step")
+        elif self.variant == VARIANT_IDEALIZED:
+            if not 1 <= self.ell <= _MAX_STEP:
+                raise ValueError("idealized level step out of range")
+            if self.relation != MatchRelation.PREFIX_WISE:
+                raise ValueError("idealized stream with a full-codelet relation")
+        else:
+            raise ValueError("unknown coder id")
 
     @property
     def dist(self) -> DistortionBudget:
@@ -568,16 +577,17 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
         slot_bound = len(tree.admitted) + 1
         # a window shorter than ell matches nothing, so the tail escapes
         width = min(rem, max(tree.max_level(), 1) * ell)
-        best, frontier = tree.search(x.window(pos, width), width)
-        for lvl, members in frontier.members.items():
-            if len(members) > stats.max_frontier.get(lvl, 0):
-                stats.max_frontier[lvl] = len(members)
+        window = x.window(pos, width)  # every phrase below fits inside it
+        best, frontier = tree.search(window, width)
+        for lvl, size in frontier.sizes.items():
+            if size > stats.max_frontier.get(lvl, 0):
+                stats.max_frontier[lvl] = size
         if frontier.give_up:
             stats.give_ups += 1
             best = None
         if best is None:
             seglen = min(rem, ell)
-            seg = x.window(pos, seglen)
+            seg = window & ((1 << seglen) - 1)
             writer.write_trunc(0, slot_bound)
             writer.write(lex_key(seg, seglen), seglen)  # MSB first = source order
             raw = BitSequence(seg, seglen)
@@ -587,7 +597,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
             return seg, seglen, None
         seglen = best.level * ell
         writer.write_trunc(best.ordinal + 1, slot_bound)
-        xseg = x.window(pos, seglen)
+        xseg = window & ((1 << seglen) - 1)
         d_inc = (xseg ^ best.bits).bit_count()
         stats.distortion += d_inc
         events.append(ParseEvent(kind="codelet", pos=pos, length=seglen,
@@ -605,8 +615,6 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
 
 def _decode_idealized(header: Header, payload: bytes,
                       cfg: Optional[LevelConfig]) -> BitSequence:
-    if header.ell < 1:
-        raise CorruptStream("idealized stream with zero level step")
     if cfg is None:
         cfg = LevelConfig(ell=header.ell)
     elif cfg.ell != header.ell:

@@ -6,7 +6,9 @@ phrase replaces the chosen leaf with its two one-symbol extensions.
 The idealized dictionary grows in levels: codelets live at depths that
 are multiples of a step ell, each level holds at most a computed
 number of codelets, and search walks a frontier of partial matches one
-level at a time.
+level at a time.  It starts empty, and a codelet exists only once it
+has been admitted: escapes admit level-1 codelets, promotions admit
+deeper ones.
 
 Codelet bit strings are kept as plain integers (symbol i = bit i), so
 the hot paths never touch BitSequence objects.
@@ -43,7 +45,7 @@ __all__ = [
 ]
 
 
-# Largest level step: the level-1 table holds 2^ell candidates, and
+# Largest level step: the per-step tables hold 2^ell entries, and
 # default_step never exceeds 6 for inputs shorter than 2^64 symbols.
 _MAX_STEP = 16
 
@@ -129,21 +131,21 @@ class PracticalNode:
 
 
 class LevelNode:
-    __slots__ = ("bits", "level", "live", "ordinal", "live_index", "children")
+    """An admitted codelet; ordinal is its admission rank (slot - 1)."""
 
-    def __init__(self, bits: int, level: int):
+    __slots__ = ("bits", "level", "ordinal", "children")
+
+    def __init__(self, bits: int, level: int, ordinal: int):
         self.bits = bits
         self.level = level
-        self.live = False
-        self.ordinal = -1
-        self.live_index = -1
+        self.ordinal = ordinal
         self.children: Dict[int, "LevelNode"] = {}
 
     def sequence(self, ell: int) -> BitSequence:
         return BitSequence(self.bits, self.level * ell)
 
     def __repr__(self) -> str:
-        return f"<level {self.level} codelet bits={self.bits:b} live={self.live}>"
+        return f"<level {self.level} codelet #{self.ordinal} bits={self.bits:b}>"
 
 
 @dataclass(frozen=True)
@@ -174,13 +176,13 @@ class LevelConfig:
 
 @dataclass
 class SearchFrontier:
-    """Per-level partial matches seen by one search."""
+    """Per-level partial-match counts seen by one search."""
 
-    members: Dict[int, List[LevelNode]] = field(default_factory=dict)
+    sizes: Dict[int, int] = field(default_factory=dict)
     give_up: bool = False
 
     def size(self, level: int) -> int:
-        return len(self.members.get(level, ()))
+        return self.sizes.get(level, 0)
 
 
 class CodebookTree:
@@ -203,14 +205,11 @@ class CodebookTree:
             self.cfg = cfg
             self.ell = cfg.ell
             self.levels: List[List[LevelNode]] = [[], []]  # index by level, 0 unused
-            self.level1: List[Optional[LevelNode]] = [None] * (1 << cfg.ell)
-            self.admitted: List[LevelNode] = []  # every live codelet, admission order
-            self.next_ordinal = 0
+            self.level1: Dict[int, LevelNode] = {}  # admitted level-1 codelets by bits
+            self.admitted: List[LevelNode] = []  # every codelet, admission order
             self.caps: Dict[int, int] = {}
             self._pop = [d.bit_count() for d in range(1 << cfg.ell)]
             self._cont_tables: Dict[Tuple[int, int], bytes] = {}
-            for pattern in range(1 << cfg.ell):
-                self.level1[pattern] = LevelNode(pattern, 1)
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -291,7 +290,7 @@ class CodebookTree:
     # -- idealized side ----------------------------------------------
 
     def cap(self, level: int, src) -> int:
-        """Live-set bound for a level; frozen the first time it is needed."""
+        """Most codelets a level may hold; frozen the first time it is needed."""
         got = self.caps.get(level)
         if got is not None:
             return got
@@ -313,14 +312,12 @@ class CodebookTree:
     def level_full(self, level: int, src) -> bool:
         return self.live_count(level) >= self.cap(level, src)
 
-    def _make_live(self, node: LevelNode) -> LevelNode:
-        while len(self.levels) <= node.level:
+    def _admit(self, bits: int, level: int) -> LevelNode:
+        """The one place codelets are created: next ordinal, end of its level."""
+        node = LevelNode(bits, level, len(self.admitted))
+        while len(self.levels) <= level:
             self.levels.append([])
-        node.live = True
-        node.ordinal = self.next_ordinal
-        self.next_ordinal += 1
-        node.live_index = len(self.levels[node.level])
-        self.levels[node.level].append(node)
+        self.levels[level].append(node)
         self.admitted.append(node)
         return node
 
@@ -330,7 +327,7 @@ class CodebookTree:
         return [c for c in range(1 << self.ell) if table[c ^ window_bits]]
 
     def fill_level1(self, window_bits: int, src) -> List[LevelNode]:
-        """Admit matching level-1 candidates to the live set, up to cap."""
+        """Admit matching level-1 candidates, in lex order, up to cap."""
         cap = self.cap(1, src)
         added = []
         if self.live_count(1) >= cap:
@@ -340,30 +337,26 @@ class CodebookTree:
         for c in matched:
             if self.live_count(1) >= cap:
                 break
-            node = self.level1[c]
-            if not node.live:
-                self._make_live(node)
+            if c not in self.level1:
+                node = self.level1[c] = self._admit(c, 1)
                 added.append(node)
         return added
 
-    def promote(self, leaf: LevelNode, extension: int, src) -> Optional[LevelNode]:
-        """Admit one extension of a live codelet to the next level.
+    def promote(self, leaf: LevelNode, extension: int, src) -> LevelNode:
+        """Admit one extension of a codelet to the next level.
 
         Raises LevelFull when the next level is at capacity; returns the
-        existing node unchanged when the extension is already live.
+        existing node unchanged when the extension is already admitted.
         """
-        if not leaf.live:
-            raise ValueError("only live codelets are promoted")
         nxt = leaf.level + 1
         existing = leaf.children.get(extension)
         if existing is not None:
             return existing
         if self.live_count(nxt) >= self.cap(nxt, src):
             raise LevelFull(f"level {nxt} already holds {self.live_count(nxt)} codelets")
-        bits = leaf.bits | (extension << (leaf.level * self.ell))
-        node = LevelNode(bits, nxt)
+        node = self._admit(leaf.bits | (extension << (leaf.level * self.ell)), nxt)
         leaf.children[extension] = node
-        return self._make_live(node)
+        return node
 
     def _cont_table(self, offset_levels: int, entering_mism: int) -> bytes:
         """Validity of each ell-bit mismatch pattern continuing a match.
@@ -392,33 +385,26 @@ class CodebookTree:
         return table
 
     def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], SearchFrontier]:
-        """Deepest live codelet prefix-wise matching the window.
+        """Oldest of the deepest codelets prefix-wise matching the window.
 
-        Builds the frontier level by level: all level-1 candidates are
-        scanned, and deeper levels only examine live extensions of the
-        previous frontier.  Sets give_up and stops descending when a
-        frontier outgrows (k * ell)^4 / delta.
+        Builds the frontier of (codelet, mismatches) pairs level by
+        level: every level-1 codelet is scanned, and deeper levels only
+        examine the children of the previous frontier.  Sets give_up and
+        stops descending when a frontier outgrows (k * ell)^4 / delta.
         """
         ell = self.ell
         frontier = SearchFrontier()
-        best: Optional[LevelNode] = None
         if window_len < ell:
             return None, frontier
         pop = self._pop
         seg = window_bits & ((1 << ell) - 1)
         table = self._cont_table(0, 0)
-        current: List[Tuple[LevelNode, int]] = []
-        z1: List[LevelNode] = []
-        for node in self.levels[1] if len(self.levels) > 1 else ():
-            d = node.bits ^ seg
-            if table[d]:
-                current.append((node, pop[d]))
-                z1.append(node)
-        frontier.members[1] = z1
-        if z1:
-            best = min(z1, key=lambda nd: nd.ordinal)
+        current = [(node, pop[d]) for node in self.levels[1] if table[d := node.bits ^ seg]]
+        deepest = current
         level = 1
         while current:
+            deepest = current
+            frontier.sizes[level] = len(current)
             if len(current) > ((level * ell) ** 4) / self.cfg.delta:
                 frontier.give_up = True
                 break
@@ -427,7 +413,6 @@ class CodebookTree:
             base = level * ell
             seg = (window_bits >> base) & ((1 << ell) - 1)
             nxt: List[Tuple[LevelNode, int]] = []
-            znext: List[LevelNode] = []
             for node, m in current:
                 if not node.children:
                     continue
@@ -436,13 +421,11 @@ class CodebookTree:
                     d = ext ^ seg
                     if table[d]:
                         nxt.append((child, m + pop[d]))
-                        znext.append(child)
             level += 1
-            if znext:
-                frontier.members[level] = znext
-                best = min(znext, key=lambda nd: nd.ordinal)
             current = nxt
-        return best, frontier
+        if not deepest:
+            return None, frontier
+        return min(deepest, key=lambda pair: pair[0].ordinal)[0], frontier
 
 
 # -- constructors ------------------------------------------------------
@@ -454,6 +437,6 @@ def init_practical(dist) -> CodebookTree:
 
 
 def idealized_build_init(cfg: LevelConfig, dist) -> CodebookTree:
-    """Leveled dictionary at birth: every ell-length pattern is a candidate."""
+    """Leveled dictionary at birth: empty until the first escape."""
     return CodebookTree("idealized", dist, cfg)
 

@@ -56,8 +56,25 @@ SLACK_SIGMAS = 3.0
 _EPS = 1e-12
 
 
-def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text.strip())
+def _words(text: str) -> Tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+def _ints(text: str) -> Tuple[int, ...]:
+    return tuple(int(w) for w in _words(text))
+
+
+# config-file key -> (ExperimentConfig field, parser of the value text)
+_CONFIG_KEYS = {
+    "p": ("p", Fraction),
+    **{k: ("dist", Fraction) for k in ("d", "dist", "distortion")},
+    **{k: ("n_values", _ints) for k in ("n", "n_values")},
+    **{k: (k, int) for k in
+       ("ell", "trials", "seed", "workers", "build_count", "build_n", "depth")},
+    "delta": ("delta", float),
+    "out": ("out", str),
+    "checks": ("checks", _words),
+}
 
 
 @dataclass(frozen=True)
@@ -122,35 +139,10 @@ class ExperimentConfig:
                     raise ValueError(f"{path}:{lineno}: expected key = value")
                 key, _, text = line.partition("=")
                 key = key.strip().lower()
-                text = text.strip()
-                if key in ("p",):
-                    values["p"] = _parse_fraction(text)
-                elif key in ("d", "dist", "distortion"):
-                    values["dist"] = _parse_fraction(text)
-                elif key == "ell":
-                    values["ell"] = int(text)
-                elif key == "delta":
-                    values["delta"] = float(text)
-                elif key in ("n_values", "n"):
-                    values["n_values"] = tuple(int(t) for t in text.split(",") if t.strip())
-                elif key == "trials":
-                    values["trials"] = int(text)
-                elif key == "seed":
-                    values["seed"] = int(text)
-                elif key == "out":
-                    values["out"] = text
-                elif key == "checks":
-                    values["checks"] = tuple(t.strip() for t in text.split(",") if t.strip())
-                elif key == "workers":
-                    values["workers"] = int(text)
-                elif key == "build_count":
-                    values["build_count"] = int(text)
-                elif key == "build_n":
-                    values["build_n"] = int(text)
-                elif key == "depth":
-                    values["depth"] = int(text)
-                else:
+                if key not in _CONFIG_KEYS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+                name, parse = _CONFIG_KEYS[key]
+                values[name] = parse(text.strip())
         return cls(**values)
 
 
@@ -225,14 +217,13 @@ def _mean_sd(values: Sequence[float]) -> Tuple[float, float]:
 # -- dictionary growth shared by the level checks --------------------------
 
 
-def _grown_trees(cfg: ExperimentConfig, tag: int, level_sizes=None):
+def _grown_trees(cfg: ExperimentConfig, tag: int):
     """Independent dictionaries built by encoding fresh inputs."""
     trees = []
     for b in range(cfg.build_count):
         rng = _rng(cfg.seed, tag, b)
         x = bernoulli(rng, cfg.build_n, float(cfg.p))
-        lc = LevelConfig(ell=cfg.step, horizon_n=cfg.build_n, delta=cfg.delta,
-                         level_sizes=level_sizes)
+        lc = LevelConfig(ell=cfg.step, horizon_n=cfg.build_n, delta=cfg.delta)
         trees.append(encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree)
     return trees
 
@@ -426,9 +417,8 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
         lc = LevelConfig(ell=ell, horizon_n=build_n, delta=cfg.delta,
                          level_sizes={1: cap})
         tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
-        live = {node.bits for node in tree.levels[1]} if len(tree.levels) > 1 else set()
         for m in members:
-            if m in live:
+            if m in tree.level1:
                 counts[m] += 1
     total = sum(counts.values())
     k = len(members)

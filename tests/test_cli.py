@@ -91,6 +91,14 @@ class TestEncodeDecode:
         enc.write_bytes(bytes(blob))
         assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
 
+    def test_idealized_stream_with_full_codelet_relation(self, tmp_path, raw_file):
+        enc = tmp_path / "out.clp"
+        run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")
+        blob = bytearray(enc.read_bytes())
+        blob[32] = 0  # match relation: full-codelet, which the idealized coder never writes
+        enc.write_bytes(bytes(blob))
+        assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
+
     def test_truncated_stream(self, tmp_path, raw_file):
         enc = tmp_path / "out.clp"
         run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")

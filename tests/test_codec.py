@@ -168,10 +168,25 @@ class TestHeader:
     def test_oversized_level_step_is_corrupt(self):
         # rejected from the header alone, before any 2^ell table exists
         raw = bytearray(Header.build(n=9, dist=Fraction(1, 4), ell=2,
-                                     variant=VARIANT_IDEALIZED).pack())
+                                     variant=VARIANT_IDEALIZED,
+                                     relation=MatchRelation.PREFIX_WISE).pack())
         raw[29:31] = b"\xff\xff"
         with pytest.raises(CorruptStream):
             Header.unpack(bytes(raw))
+
+    def test_idealized_stream_with_full_codelet_relation_is_corrupt(self):
+        res = encode_idealized(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = bytearray(res.stream.to_bytes())
+        raw[32] = int(MatchRelation.FULL_CODELET)
+        with pytest.raises(CorruptStream):
+            decode(bytes(raw))
+
+    def test_practical_stream_with_level_step_is_corrupt(self):
+        res = encode_practical(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = bytearray(res.stream.to_bytes())
+        raw[29:31] = (3).to_bytes(2, "big")
+        with pytest.raises(CorruptStream):
+            decode(bytes(raw))
 
     def test_build_validates_fraction_range(self):
         with pytest.raises(ValueError):
@@ -312,6 +327,18 @@ class TestIdealizedCoder:
         assert res.stats.escapes == sum(e.kind == "escape" for e in res.events)
         assert res.stats.give_ups == 0
         assert sum(len(e.y_bits) for e in res.events) == 640
+
+    def test_flooded_frontier_gives_up_and_escapes(self):
+        # D = 1 at ell = 1: both level-1 codelets match every window, and
+        # a frontier of 2 outgrows (1 * 1)^4 / delta = 1
+        rng = np.random.default_rng(38)
+        x = bernoulli(rng, 200, 0.5)
+        cfg = LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})
+        res = encode_idealized(x, 1, cfg=cfg)
+        assert res.stats.give_ups > 0
+        assert res.stats.escapes >= res.stats.give_ups
+        assert decode(res.stream, cfg) == res.y
+        assert hamming_distance(x, res.y) <= 1 * len(x)
 
     def test_sub_step_tail_is_escaped(self):
         rng = np.random.default_rng(35)

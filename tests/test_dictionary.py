@@ -166,10 +166,16 @@ class TestIdealizedBuild:
         assert tree.fill_level1(0b11, HALF) == []  # already full
         assert tree.live_count(1) == 3
 
+    def test_starts_with_no_codelets(self):
+        tree = idealized_build_init(LevelConfig(ell=16), QUARTER)
+        assert tree.level1 == {} and tree.admitted == []
+        assert tree.max_level() == 1 and tree.live_count(1) == 0
+
     def test_fill_with_zero_budget_admits_only_the_window(self):
         tree = idealized_build_init(small_config(), QUARTER)  # floor(2/4) = 0
         added = tree.fill_level1(0b10, HALF)
         assert [n.bits for n in added] == [0b10]
+        assert tree.level1 == {0b10: added[0]} and tree.admitted == added
         again = tree.fill_level1(0b10, HALF)
         assert again == []  # already live
 
@@ -183,8 +189,6 @@ class TestIdealizedBuild:
         tree.promote(base, 0b01, HALF)
         with pytest.raises(LevelFull):
             tree.promote(base, 0b10, HALF)
-        with pytest.raises(ValueError):
-            tree.promote(tree.level1[0b11], 0, HALF)  # not live
 
     def test_admission_order_is_recorded(self):
         tree = idealized_build_init(small_config(), 1)

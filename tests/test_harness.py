@@ -81,6 +81,21 @@ class TestExperimentConfig:
         assert cfg.checks == ("symmetry", "cycle_lemma")
         assert cfg.workers == 2
 
+    @pytest.mark.parametrize("line, name, value", [
+        ("D = 1/8", "dist", Fraction(1, 8)),
+        ("dist = 0.125", "dist", Fraction(1, 8)),
+        ("delta = 0.5", "delta", 0.5),
+        ("n_values = 7, 9,", "n_values", (7, 9)),
+        ("out = rates.csv", "out", "rates.csv"),
+        ("build_count = 3", "build_count", 3),
+        ("build_n = 99", "build_n", 99),
+        ("depth = 6", "depth", 6),
+    ])
+    def test_from_file_other_keys(self, tmp_path, line, name, value):
+        path = tmp_path / "cfg.txt"
+        path.write_text(line + "\n")
+        assert getattr(ExperimentConfig.from_file(str(path)), name) == value
+
     def test_from_file_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("bogus = 1\n")
