@@ -177,7 +177,7 @@ class TestIdealizedBuild:
         assert [n.bits for n in added] == [0b10]
         assert tree.level1 == {0b10: added[0]} and tree.admitted == added
         again = tree.fill_level1(0b10, HALF)
-        assert again == []  # already live
+        assert again == []  # already admitted
 
     def test_promote_paths(self):
         tree = idealized_build_init(small_config(level_sizes={1: 4, 2: 2}), QUARTER)
