@@ -32,7 +32,6 @@ from .errors import (
     EmptyMatchSet,
     Infeasible,
     LengthMismatch,
-    LevelFull,
     NotALeaf,
     UnsupportedVersion,
     ZeroRate,
@@ -75,7 +74,7 @@ __all__ = [
     "CodebookTree", "LevelConfig", "default_step", "level_size",
     "target_reproduction_type",
     "BadMagic", "CorruptStream", "EmptyMatchSet", "Infeasible",
-    "LengthMismatch", "LevelFull", "NotALeaf", "UnsupportedVersion", "ZeroRate",
+    "LengthMismatch", "NotALeaf", "UnsupportedVersion", "ZeroRate",
     "ExperimentConfig", "LemmaReport", "rate_sweep", "run_checks",
     "MatchRelation", "ball_probability", "ball_probability_exact",
     "canonical_type_sequence", "cycle_lemma_lower_bound",

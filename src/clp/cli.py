@@ -57,6 +57,13 @@ def _fraction(text: str) -> Fraction:
     return value
 
 
+def _step(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative; 0 picks the step from the input length")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="clp",
                      description="Lossy compression of binary sequences "
@@ -72,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="source bias when known; estimated adaptively otherwise")
     enc.add_argument("--variant", choices=("practical", "idealized"),
                      default="idealized")
-    enc.add_argument("--ell", type=int, default=0, metavar="K",
-                     help="level step for the idealized coder (0 = auto)")
+    enc.add_argument("--ell", type=_step, default=0, metavar="K",
+                     help="level step for the idealized coder, >= 0 (0 = auto)")
     enc.add_argument("--delta", type=float, default=0.01, metavar="F",
                      help="search give-up budget for the idealized coder")
     enc.add_argument("--seed", type=int, default=0, metavar="S",

@@ -9,7 +9,7 @@ Layout of a serialized stream (all integers big-endian):
     13      4     distortion numerator
     17      4     distortion denominator
     21      4     source-bias numerator
-    25      4     source-bias denominator (0xFFFFFFFF means "unknown")
+    25      4     source-bias denominator (0xFFFFFFFF, numerator 0: unknown)
     29      2     level step ell (0 for the practical coder, 1-16 for the
                   idealized coder)
     31      1     coder id: 0 practical, 1 idealized
@@ -131,8 +131,9 @@ class Header:
             raise ValueError("symbol count out of range")
         if self.d_den < 1 or self.d_num > self.d_den:
             raise ValueError("distortion must be a fraction in [0, 1]")
-        if self.p_den != _P_UNKNOWN and not (1 <= self.p_den and 0 <= self.p_num <= self.p_den):
-            raise ValueError("source bias must be a fraction in [0, 1] or unknown")
+        if (not (1 <= self.p_den and 0 <= self.p_num <= self.p_den)
+                or (self.p_den == _P_UNKNOWN and self.p_num != 0)):
+            raise ValueError("source bias must be a fraction in [0, 1] or unknown (0 / 0xFFFFFFFF)")
         if self.relation not in (0, 1):
             raise ValueError("unknown match relation")
         if self.variant == VARIANT_PRACTICAL:
@@ -535,14 +536,12 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
         parts.append((seg, seglen))
         y_ones += seg.bit_count()
         pos += seglen
+        now = _estimate_src(sm, y_ones, pos)
         if prev_node is not None and seglen >= ell:
-            ext = seg & ((1 << ell) - 1)
-            now = _estimate_src(sm, y_ones, pos)
-            if prev_node.children.get(ext) is None and not tree.level_full(prev_node.level + 1, now):
-                tree.promote(prev_node, ext, now)
+            if tree.promote(prev_node, seg & ((1 << ell) - 1), now) is not None:
                 promotions += 1
         if node is None and seglen == ell:
-            tree.fill_level1(seg, _estimate_src(sm, y_ones, pos))
+            tree.fill_level1(seg, now)
         prev_node = node
     return concat_bits(parts), promotions
 

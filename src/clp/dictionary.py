@@ -8,7 +8,9 @@ are multiples of a step ell, each level holds at most a computed
 number of codelets, and search walks a frontier of partial matches one
 level at a time.  It starts empty, and a codelet exists only once it
 has been admitted: escapes admit level-1 codelets, promotions admit
-deeper ones.
+deeper ones.  CodebookTree alone decides admission: promote returns
+None when it admits nothing, and the level-1 fill walks only the
+codelets within the distortion budget of the escaped window.
 
 Codelet bit strings are kept as plain integers (symbol i = bit i), so
 the hot paths never touch BitSequence objects.
@@ -22,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .bits import BitSequence
-from .errors import LevelFull, NotALeaf
+from .errors import NotALeaf
 from .matching import (
     MatchRelation,
     canonical_type_sequence,
@@ -193,7 +195,6 @@ class CodebookTree:
         self.dist = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
         self._dn = self.dist.num
         self._dd = self.dist.den
-        self._allowed: List[int] = [0]  # allowed[l] = floor(D * l)
         if variant == "practical":
             self.root = PracticalNode(0, 0)
             self.root.children = [PracticalNode(0, 1), PracticalNode(1, 1)]
@@ -212,14 +213,6 @@ class CodebookTree:
             self._cont_tables: Dict[Tuple[int, int], bytes] = {}
         else:
             raise ValueError(f"unknown variant {variant!r}")
-
-    # -- shared helpers ------------------------------------------------
-
-    def allowed(self, l: int) -> int:
-        table = self._allowed
-        while len(table) <= l:
-            table.append((self._dn * len(table)) // self._dd)
-        return table[l]
 
     # -- practical side --------------------------------------------------
 
@@ -309,9 +302,6 @@ class CodebookTree:
             return 0
         return len(self.levels[level])
 
-    def level_full(self, level: int, src) -> bool:
-        return self.live_count(level) >= self.cap(level, src)
-
     def _admit(self, bits: int, level: int) -> LevelNode:
         """The one place codelets are created: next ordinal, end of its level."""
         node = LevelNode(bits, level, len(self.admitted))
@@ -321,39 +311,42 @@ class CodebookTree:
         self.admitted.append(node)
         return node
 
-    def level1_matches(self, window_bits: int) -> List[int]:
-        """Candidate ell-length patterns prefix-wise matching the window."""
-        table = self._cont_table(0, 0)
-        return [c for c in range(1 << self.ell) if table[c ^ window_bits]]
-
     def fill_level1(self, window_bits: int, src) -> List[LevelNode]:
-        """Admit matching level-1 candidates, in lex order, up to cap."""
-        cap = self.cap(1, src)
-        added = []
-        if self.live_count(1) >= cap:
-            return added
-        matched = self.level1_matches(window_bits)
-        matched.sort(key=lambda c: lex_key(c, self.ell))
-        for c in matched:
-            if self.live_count(1) >= cap:
-                break
-            if c not in self.level1:
-                node = self.level1[c] = self._admit(c, 1)
-                added.append(node)
+        """Admit level-1 codelets prefix-wise matching the window, up to cap.
+
+        Walks codelets depth first, 0 before 1 (lex order), dropping a
+        prefix once its mismatches exceed the budget.  A kept prefix
+        always completes by copying the window, so the walk costs
+        O(ell * cap) rather than a scan of all 2^ell patterns.
+        """
+        room = self.cap(1, src) - self.live_count(1)
+        added: List[LevelNode] = []
+        stack = [(0, 0, 0)]  # (bits, length, mismatches)
+        while stack and len(added) < room:
+            bits, length, m = stack.pop()
+            if length < self.ell:
+                w = (window_bits >> length) & 1
+                for b in (1, 0):  # pushed last, popped first: 0 before 1
+                    m2 = m + (b ^ w)
+                    if m2 * self._dd <= self._dn * (length + 1):
+                        stack.append((bits | (b << length), length + 1, m2))
+            elif bits not in self.level1:
+                added.append(self._admit(bits, 1))
+                self.level1[bits] = added[-1]
         return added
 
-    def promote(self, leaf: LevelNode, extension: int, src) -> LevelNode:
+    def promote(self, leaf: LevelNode, extension: int, src) -> Optional[LevelNode]:
         """Admit one extension of a codelet to the next level.
 
-        Raises LevelFull when the next level is at capacity; returns the
-        existing node unchanged when the extension is already admitted.
+        Returns the new node, or None when the extension is already
+        admitted or the next level is full.  The cap freezes when first
+        asked, so it is asked only for a new extension.
         """
+        if extension in leaf.children:
+            return None
         nxt = leaf.level + 1
-        existing = leaf.children.get(extension)
-        if existing is not None:
-            return existing
         if self.live_count(nxt) >= self.cap(nxt, src):
-            raise LevelFull(f"level {nxt} already holds {self.live_count(nxt)} codelets")
+            return None
         node = self._admit(leaf.bits | (extension << (leaf.level * self.ell)), nxt)
         leaf.children[extension] = node
         return node

@@ -13,10 +13,6 @@ class NotALeaf(ValueError):
     """A tree operation that requires a leaf was given an internal node."""
 
 
-class LevelFull(RuntimeError):
-    """A dictionary level already holds its maximum number of codelets."""
-
-
 class EmptyMatchSet(ValueError):
     """Codelet selection was asked to choose from an empty match set."""
 

@@ -99,6 +99,22 @@ class TestEncodeDecode:
         enc.write_bytes(bytes(blob))
         assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
 
+    def test_unknown_source_with_nonzero_numerator(self, tmp_path, raw_file):
+        enc = tmp_path / "out.clp"
+        run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")
+        blob = bytearray(enc.read_bytes())
+        blob[21:25] = (12345).to_bytes(4, "big")  # p numerator beside the "unknown" denominator
+        enc.write_bytes(bytes(blob))
+        assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
+
+    def test_negative_level_step_is_usage_error(self, tmp_path, raw_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("encode", "--in", raw_file, "--out", tmp_path / "x",
+                "--distortion", "1/4", "--ell", "-3")
+        assert err.value.code == EXIT_USAGE
+        assert "-3 is negative" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_truncated_stream(self, tmp_path, raw_file):
         enc = tmp_path / "out.clp"
         run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")

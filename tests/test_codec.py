@@ -188,6 +188,17 @@ class TestHeader:
         with pytest.raises(CorruptStream):
             decode(bytes(raw))
 
+    @pytest.mark.parametrize("encode", [encode_practical, encode_idealized],
+                             ids=["practical", "idealized"])
+    def test_unknown_source_with_nonzero_numerator_is_corrupt(self, encode):
+        res = encode(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = bytearray(res.stream.to_bytes())
+        assert raw[21:25] == bytes(4) and raw[25:29] == b"\xff" * 4
+        assert decode(bytes(raw)) == res.y
+        raw[21:25] = (12345).to_bytes(4, "big")
+        with pytest.raises(CorruptStream):
+            decode(bytes(raw))
+
     def test_build_validates_fraction_range(self):
         with pytest.raises(ValueError):
             Header.build(n=4, dist=Fraction(3, 2))

@@ -5,6 +5,7 @@ leaf (practical) or every live codelet (idealized) with the match
 predicates from clp.matching.
 """
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,8 @@ from clp.dictionary import (
     lex_key,
     target_reproduction_type,
 )
-from clp.errors import LevelFull, NotALeaf
+from clp.codec import VARIANT_IDEALIZED, Header, decode
+from clp.errors import CorruptStream, NotALeaf
 from clp.matching import MatchRelation, matches_full, matches_prefixwise
 
 
@@ -149,13 +151,18 @@ class TestIdealizedBuild:
         assert tree.cap(1, HALF) == 2
         assert tree.cap(2, HALF) == 8  # availability follows the override
 
-    def test_level1_matches_agrees_with_predicate(self):
-        tree = idealized_build_init(small_config(), QUARTER)
-        for w in range(4):
-            window = BitSequence(w, 2)
-            want = [c for c in range(4)
-                    if matches_prefixwise(window, BitSequence(c, 2), QUARTER)]
-            assert sorted(tree.level1_matches(w)) == want
+    def test_fill_admits_exactly_the_prefixwise_matches_in_lex_order(self):
+        for d in (0, Fraction(1, 8), QUARTER, Fraction(1, 3), HALF, 1):
+            for ell in range(1, 5):
+                for w in range(1 << ell):
+                    cfg = small_config(ell=ell, level_sizes={1: 1 << ell})
+                    tree = idealized_build_init(cfg, d)
+                    window = BitSequence(w, ell)
+                    want = sorted((BitSequence(c, ell) for c in range(1 << ell)
+                                   if matches_prefixwise(window, BitSequence(c, ell), d)),
+                                  key=BitSequence.to01)
+                    got = [n.sequence(ell) for n in tree.fill_level1(w, HALF)]
+                    assert got == want, (d, ell, w)
 
     def test_fill_admits_in_lex_order_up_to_cap(self):
         # D = 1 makes every pattern match, so lex order decides admission
@@ -185,10 +192,22 @@ class TestIdealizedBuild:
         base = tree.levels[1][0]
         a = tree.promote(base, 0b11, HALF)
         assert a.level == 2 and a.sequence(2).to01() == "0011"
-        assert tree.promote(base, 0b11, HALF) is a  # idempotent
-        tree.promote(base, 0b01, HALF)
-        with pytest.raises(LevelFull):
-            tree.promote(base, 0b10, HALF)
+        admitted = list(tree.admitted)
+        assert tree.promote(base, 0b11, HALF) is None  # already admitted
+        assert tree.admitted == admitted and base.children == {0b11: a}
+        assert tree.promote(base, 0b01, HALF) is not None
+        assert tree.promote(base, 0b10, HALF) is None  # level 2 is full
+        assert tree.live_count(2) == 2 and 0b10 not in base.children
+
+    def test_hostile_wide_step_stream_fails_fast(self):
+        # ell = 16 and D = 0: every all-zero record is an escape whose fill
+        # must not scan all 2^16 level-1 patterns
+        raw = Header.build(n=2**20, dist=0, src=HALF, ell=16, variant=VARIANT_IDEALIZED,
+                           relation=MatchRelation.PREFIX_WISE).pack() + bytes(1024)
+        start = time.process_time()
+        with pytest.raises(CorruptStream):
+            decode(raw)
+        assert time.process_time() - start < 0.5
 
     def test_admission_order_is_recorded(self):
         tree = idealized_build_init(small_config(), 1)
@@ -210,10 +229,7 @@ def grow_idealized(rng, cfg: LevelConfig, dist, steps: int) -> CodebookTree:
             nodes = tree.levels[level]
             node = nodes[int(rng.integers(len(nodes)))]
             ext = int(rng.integers(0, 1 << cfg.ell))
-            try:
-                tree.promote(node, ext, HALF)
-            except LevelFull:
-                pass
+            tree.promote(node, ext, HALF)
     return tree
 
 
