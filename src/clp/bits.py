@@ -3,8 +3,10 @@
 A BitSequence stores its symbols in one arbitrary-precision integer,
 64-symbol words at a time in effect: symbol i is bit i of ``value``
 (little-endian within the integer).  Distances reduce to XOR plus
-popcount, and windows come out with one shift and mask.  File bytes are
-interpreted MSB-first, so byte 0x80 is the sequence "10000000".
+popcount.  A window is read from a little-endian byte copy of
+``value``, made once per sequence, so it costs O(width) rather than a
+shift of all n bits.  File bytes are interpreted MSB-first, so byte
+0x80 is the sequence "10000000".
 """
 
 from __future__ import annotations
@@ -14,6 +16,14 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 __all__ = ["BitSequence", "concat_bits", "bernoulli"]
+
+# The value window() last read and its little-endian bytes.  It is
+# matched by identity; holding the int keeps that identity from being
+# reused.  Two sequences may share one int object: bits past either
+# length are zero, so the same bytes serve both.  It lives here, not in
+# a slot, because a third slot would grow every BitSequence, and coders
+# keep one or two per phrase alive in their events.
+_window_bytes: Tuple[int, bytes] = (0, b"")
 
 
 class BitSequence:
@@ -131,9 +141,23 @@ class BitSequence:
         return self.value.bit_count()
 
     def window(self, start: int, width: int) -> int:
-        """Raw integer view of up to ``width`` bits from ``start``."""
+        """Raw integer view of up to ``width`` bits from ``start``.
+
+        Reads only the bytes under the window, so a parse that walks a
+        long sequence costs O(width) per call once the byte copy of
+        ``value`` exists.
+        """
+        global _window_bytes
         width = min(width, self.length - start)
-        return (self.value >> start) & ((1 << width) - 1)
+        if start < 0 or width < 0:
+            raise ValueError("window outside the sequence")
+        value, buf = _window_bytes
+        if value is not self.value:
+            value = self.value
+            buf = value.to_bytes((self.length >> 3) + 1, "little")
+            _window_bytes = (value, buf)
+        chunk = int.from_bytes(buf[start >> 3:((start + width) >> 3) + 1], "little")
+        return (chunk >> (start & 7)) & ((1 << width) - 1)
 
 
 def concat_bits(parts: List[Tuple[int, int]]) -> BitSequence:

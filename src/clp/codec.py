@@ -486,7 +486,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
             break
         chosen = select_codelet(matches, window, parsed_ones, pos, db)
         L = chosen.depth
-        xseg = x.window(pos, L)
+        xseg = window.value & ((1 << L) - 1)  # a leaf is never longer than the window
         d_inc = (xseg ^ chosen.bits).bit_count()
         parts.append((chosen.bits, L))
         events.append(ParseEvent(kind="codelet", pos=pos, length=L,

@@ -6,11 +6,13 @@ phrase replaces the chosen leaf with its two one-symbol extensions.
 The idealized dictionary grows in levels: codelets live at depths that
 are multiples of a step ell, each level holds at most a computed
 number of codelets, and search walks a frontier of partial matches one
-level at a time.  It starts empty, and a codelet exists only once it
-has been admitted: escapes admit level-1 codelets, promotions admit
-deeper ones.  CodebookTree alone decides admission: promote returns
-None when it admits nothing, and the level-1 fill walks only the
-codelets within the distortion budget of the escaped window.
+level at a time down from a never-admitted root, probing at each node
+only the segments within the distortion budget.  It starts empty, and
+a codelet exists only once it has been admitted: escapes admit level-1
+codelets, promotions admit deeper ones.  CodebookTree alone decides
+admission: promote returns None when it admits nothing, and the
+level-1 fill walks only the codelets within the distortion budget of
+the escaped window, once per distinct window.
 
 Codelet bit strings are kept as plain integers (symbol i = bit i), so
 the hot paths never touch BitSequence objects.
@@ -206,11 +208,14 @@ class CodebookTree:
             self.cfg = cfg
             self.ell = cfg.ell
             self.levels: List[List[LevelNode]] = [[], []]  # index by level, 0 unused
-            self.level1: Dict[int, LevelNode] = {}  # admitted level-1 codelets by bits
+            # the empty codelet, never admitted: its children are level 1
+            self.root = LevelNode(0, 0, -1)
+            self.level1: Dict[int, LevelNode] = self.root.children  # admitted, by bits
             self.admitted: List[LevelNode] = []  # every codelet, admission order
             self.caps: Dict[int, int] = {}
+            self._filled: set = set()  # windows fill_level1 has already walked
             self._pop = [d.bit_count() for d in range(1 << cfg.ell)]
-            self._cont_tables: Dict[Tuple[int, int], bytes] = {}
+            self._continuation_cache: Dict[Tuple[int, int], Tuple[bytes, Tuple[int, ...]]] = {}
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -317,8 +322,13 @@ class CodebookTree:
         Walks codelets depth first, 0 before 1 (lex order), dropping a
         prefix once its mismatches exceed the budget.  A kept prefix
         always completes by copying the window, so the walk costs
-        O(ell * cap) rather than a scan of all 2^ell patterns.
+        O(ell * cap) rather than a scan of all 2^ell patterns.  A window
+        seen before admits nothing: its first fill either filled level 1
+        or admitted every match, and the cap froze then.
         """
+        if window_bits in self._filled:
+            return []
+        self._filled.add(window_bits)
         room = self.cap(1, src) - self.live_count(1)
         added: List[LevelNode] = []
         stack = [(0, 0, 0)]  # (bits, length, mismatches)
@@ -351,16 +361,17 @@ class CodebookTree:
         leaf.children[extension] = node
         return node
 
-    def _cont_table(self, offset_levels: int, entering_mism: int) -> bytes:
+    def _continuations(self, offset_levels: int, entering_mism: int) -> Tuple[bytes, Tuple[int, ...]]:
         """Validity of each ell-bit mismatch pattern continuing a match.
 
-        Entry d answers: starting at depth offset_levels * ell with
-        entering_mism mismatches, does appending a segment whose XOR
-        against the window is d keep every prefix within budget?
+        Entry d of the table answers: starting at depth offset_levels *
+        ell with entering_mism mismatches, does appending a segment whose
+        XOR against the window is d keep every prefix within budget?
+        The tuple lists the valid d in increasing order.
         """
         key = (offset_levels, entering_mism)
-        table = self._cont_tables.get(key)
-        if table is None:
+        got = self._continuation_cache.get(key)
+        if got is None:
             ell = self.ell
             base = offset_levels * ell
             out = bytearray(1 << ell)
@@ -373,52 +384,56 @@ class CodebookTree:
                         ok = False
                         break
                 out[d] = ok
-            table = bytes(out)
-            self._cont_tables[key] = table
-        return table
+            got = (bytes(out), tuple(d for d in range(1 << ell) if out[d]))
+            self._continuation_cache[key] = got
+        return got
 
     def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], SearchFrontier]:
         """Oldest of the deepest codelets prefix-wise matching the window.
 
         Builds the frontier of (codelet, mismatches) pairs level by
-        level: every level-1 codelet is scanned, and deeper levels only
-        examine the children of the previous frontier.  Sets give_up and
-        stops descending when a frontier outgrows (k * ell)^4 / delta.
+        level, starting from the never-admitted root whose children are
+        level 1.  Each frontier node probes only in-budget segments: it
+        looks up each valid mismatch pattern among its children when
+        there are fewer patterns than children, and otherwise checks
+        each child against the validity table.  Sets give_up and stops
+        descending when a frontier outgrows (k * ell)^4 / delta.
         """
         ell = self.ell
-        frontier = SearchFrontier()
-        if window_len < ell:
-            return None, frontier
+        mask = (1 << ell) - 1
         pop = self._pop
-        seg = window_bits & ((1 << ell) - 1)
-        table = self._cont_table(0, 0)
-        current = [(node, pop[d]) for node in self.levels[1] if table[d := node.bits ^ seg]]
-        deepest = current
-        level = 1
-        while current:
-            deepest = current
-            frontier.sizes[level] = len(current)
-            if len(current) > ((level * ell) ** 4) / self.cfg.delta:
-                frontier.give_up = True
-                break
-            if (level + 1) * ell > window_len:
-                break
-            base = level * ell
-            seg = (window_bits >> base) & ((1 << ell) - 1)
+        frontier = SearchFrontier()
+        current: List[Tuple[LevelNode, int]] = [(self.root, 0)]
+        level = 0
+        while (level + 1) * ell <= window_len:
+            seg = (window_bits >> (level * ell)) & mask
             nxt: List[Tuple[LevelNode, int]] = []
             for node, m in current:
-                if not node.children:
+                children = node.children
+                if not children:
                     continue
-                table = self._cont_table(level, m)
-                for ext, child in node.children.items():
-                    d = ext ^ seg
-                    if table[d]:
-                        nxt.append((child, m + pop[d]))
+                table, patterns = self._continuations(level, m)
+                if len(patterns) < len(children):
+                    for d in patterns:
+                        child = children.get(seg ^ d)
+                        if child is not None:
+                            nxt.append((child, m + pop[d]))
+                else:
+                    for ext, child in children.items():
+                        d = ext ^ seg
+                        if table[d]:
+                            nxt.append((child, m + pop[d]))
+            if not nxt:
+                break
             level += 1
             current = nxt
-        if not deepest:
+            frontier.sizes[level] = len(nxt)
+            if len(nxt) > ((level * ell) ** 4) / self.cfg.delta:
+                frontier.give_up = True
+                break
+        if level == 0:
             return None, frontier
-        return min(deepest, key=lambda pair: pair[0].ordinal)[0], frontier
+        return min(current, key=lambda pair: pair[0].ordinal)[0], frontier
 
 
 # -- constructors ------------------------------------------------------

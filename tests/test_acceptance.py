@@ -415,9 +415,12 @@ def test_criterion_10_quasi_linear_runtime(capsys):
             encode_idealized(x, d, half, cfg)
             times.append(time.perf_counter() - t1)
         means[n] = sum(times) / len(times)
+    factors = []
     for small, big in ((1 << 16, 1 << 17), (1 << 17, 1 << 18)):
         factor = means[big] / means[small]
+        factors.append(f"{factor:.2f}")
         if factor > 2.5:
             problems.append(f"time factor {factor:.2f} > 2.5 at n={big}")
-    _verdict(capsys, 10, "encode time grows <= 2.5x per doubling of n",
+    _verdict(capsys, 10, "encode time grows <= 2.5x per doubling of n "
+             f"(factors {', '.join(factors)} at n=2^17, 2^18)",
              problems, time.perf_counter() - t0)

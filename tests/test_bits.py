@@ -58,6 +58,49 @@ def test_window_clips_at_the_end():
     assert s.window(4, 1) == 0
 
 
+def shift_and_mask(s: BitSequence, start: int, width: int) -> int:
+    """The definition window() must agree with."""
+    width = min(width, s.length - start)
+    return (s.value >> start) & ((1 << width) - 1)
+
+
+@pytest.mark.parametrize("length", [0, 1, 7, 8, 9, 64, 1000])
+def test_window_matches_shift_and_mask(length):
+    rng = np.random.default_rng(length)
+    s = bernoulli(rng, length, 0.5)
+    for start in range(length + 1):
+        for width in (0, 1, 3, 8, 13, 64, length - start, length - start + 5):
+            assert s.window(start, width) == shift_and_mask(s, start, width), (start, width)
+
+
+def test_window_alternates_between_sequences():
+    rng = np.random.default_rng(5)
+    a, b = bernoulli(rng, 300, 0.5), bernoulli(rng, 517, 0.3)
+    for start in range(0, 300, 7):
+        for s in (a, b, a):
+            assert s.window(start, 40) == shift_and_mask(s, start, 40)
+
+
+def test_window_on_sequences_sharing_one_value():
+    value = (1 << 200) | 0b1011
+    long = BitSequence(value, 900)
+    short = BitSequence(value, 201)
+    assert long.value is short.value
+    for first, second in ((short, long), (long, short)):
+        first.window(0, 1)  # the byte copy now comes from `first`
+        for start in range(0, second.length + 1, 3):
+            assert second.window(start, 70) == shift_and_mask(second, start, 70)
+
+
+def test_window_rejects_starts_outside_the_sequence():
+    s = BitSequence.from_str("10110")
+    with pytest.raises(ValueError):
+        s.window(-1, 3)
+    with pytest.raises(ValueError):
+        s.window(6, 1)
+    assert s.window(5, 3) == 0  # the end itself is an empty window
+
+
 def test_equality_and_hash():
     a = BitSequence.from_str("0101")
     b = BitSequence.from_str("0101")

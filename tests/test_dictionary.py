@@ -199,10 +199,12 @@ class TestIdealizedBuild:
         assert tree.promote(base, 0b10, HALF) is None  # level 2 is full
         assert tree.live_count(2) == 2 and 0b10 not in base.children
 
-    def test_hostile_wide_step_stream_fails_fast(self):
-        # ell = 16 and D = 0: every all-zero record is an escape whose fill
-        # must not scan all 2^16 level-1 patterns
-        raw = Header.build(n=2**20, dist=0, src=HALF, ell=16, variant=VARIANT_IDEALIZED,
+    @pytest.mark.parametrize("dist", [0, Fraction(1, 4), Fraction(1, 3)], ids=["0", "1/4", "1/3"])
+    def test_hostile_wide_step_stream_fails_fast(self, dist):
+        # ell = 16: every all-zero record is an escape of the same window,
+        # whose fill must neither scan all 2^16 level-1 patterns nor, once
+        # thousands of them match (D = 1/3), walk them again on a repeat
+        raw = Header.build(n=2**20, dist=dist, src=HALF, ell=16, variant=VARIANT_IDEALIZED,
                            relation=MatchRelation.PREFIX_WISE).pack() + bytes(1024)
         start = time.process_time()
         with pytest.raises(CorruptStream):
@@ -246,21 +248,40 @@ def brute_deepest_match(tree: CodebookTree, window: BitSequence, dist):
     return None
 
 
+def brute_match_counts(tree: CodebookTree, window: BitSequence, dist):
+    """Oracle: per level that has any, the count of prefix-wise matching codelets."""
+    counts = {}
+    for level in range(1, tree.max_level() + 1):
+        depth = level * tree.ell
+        if depth <= window.length:
+            count = sum(matches_prefixwise(window[:depth], nd.sequence(tree.ell), dist)
+                        for nd in tree.levels[level])
+            if count:
+                counts[level] = count
+    return counts
+
+
 class TestIdealizedSearch:
     def test_search_matches_brute_force(self):
+        # D = 0 leaves one valid pattern per node, so search probes the
+        # children by pattern; D = 1 makes every pattern valid, so search
+        # walks the children.  The values between mix both.
         rng = np.random.default_rng(23)
-        for trial in range(40):
-            ell = int(rng.integers(2, 4))
-            d = Fraction(int(rng.integers(0, 4)), 8)
-            cfg = LevelConfig(ell=ell, horizon_n=1 << 12, delta=0.01)
-            tree = grow_idealized(rng, cfg, d, steps=int(rng.integers(5, 120)))
-            for _ in range(12):
-                wlen = int(rng.integers(1, 4 * ell + 2))
-                window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-                got, frontier = tree.search(window.value, window.length)
-                want = brute_deepest_match(tree, window, d)
-                assert not frontier.give_up
-                assert got is want, (trial, window.to01())
+        dists = [Fraction(0), Fraction(1, 8), Fraction(1, 4), Fraction(1, 3),
+                 Fraction(1, 2), Fraction(1)]
+        for ell in range(1, 5):
+            for d in dists:
+                for trial in range(4):
+                    cfg = LevelConfig(ell=ell, horizon_n=1 << 12, delta=0.01)
+                    tree = grow_idealized(rng, cfg, d, steps=int(rng.integers(5, 120)))
+                    for _ in range(12):
+                        wlen = int(rng.integers(1, 4 * ell + 2))
+                        window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
+                        got, frontier = tree.search(window.value, window.length)
+                        case = (ell, d, trial, window.to01())
+                        assert not frontier.give_up, case
+                        assert frontier.sizes == brute_match_counts(tree, window, d), case
+                        assert got is brute_deepest_match(tree, window, d), case
 
     def test_short_window_returns_nothing(self):
         tree = idealized_build_init(small_config(), QUARTER)
