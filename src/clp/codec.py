@@ -35,10 +35,23 @@ loop, _idealized_parse, and only that loop grows the dictionary, so
 the slot ranges stay in lockstep by construction.  Bit order inside
 the payload is most-significant-first per byte; raw source bits
 appear in source order.
+
+The three coder entry points, encode_practical, encode_idealized and
+decode, run with CPython's cyclic garbage collector paused.  They build
+only acyclic data (trees whose links point downward, leaf records,
+events, and a parse callback that does not refer to itself), so
+reference counting frees all of it, and the pause changes neither the
+output nor peak memory; it only stops full collections from walking
+every node and event built so far, none of which is ever garbage.  The
+switch is process-wide: while a coder runs, cycles made by other
+threads wait for it to return before they are collected.  A coder that
+finds the collector off leaves it off.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -89,6 +102,27 @@ VARIANT_IDEALIZED = 1
 _P_UNKNOWN = 0xFFFFFFFF
 _HEADER = struct.Struct(">4sBQIIIIHBB")
 _TIE_TOL = 1e-12
+
+
+def _no_cycle_gc(fn):
+    """Run fn with the cyclic garbage collector paused.
+
+    Safe for the coders because everything they build is acyclic and
+    freed by reference counting alone; see the module docstring.  The
+    collector is switched back on afterwards, also when fn raises, but
+    only if it was on when fn was called.  gc.disable() acts on the
+    whole process, so other threads' cycles wait until fn returns.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_on = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_on:
+                gc.enable()
+    return paused
 
 
 def _u32_pair(fr: Fraction, what: str) -> Tuple[int, int]:
@@ -457,6 +491,7 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
     return best
 
 
+@_no_cycle_gc
 def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelation.FULL_CODELET,
                      src=None) -> "PracticalResult":
     """Greedy trie coder: parse, pick by type fit, split the used leaf.
@@ -546,17 +581,20 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     return concat_bits(parts), promotions
 
 
+@_no_cycle_gc
 def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] = None,
                      ) -> "IdealizedResult":
     """Leveled coder with explicit escape records.
 
-    Each phrase is either the deepest live codelet that prefix-wise
-    matches the upcoming window (written as its admission slot) or an
-    escape (slot 0) carrying ell raw source bits.  The dictionary then
-    grows in two decoder-visible ways: an escape admits every level-1
-    candidate matching its raw bits, and a phrase's first ell
-    reconstruction bits extend the codelet used one phrase earlier to
-    the next level.  A final sub-ell tail is escaped verbatim.
+    Each phrase is either the codelet tree.search returns, the oldest
+    of the deepest admitted codelets that prefix-wise match the
+    upcoming window (written as its admission slot), or an escape
+    (slot 0) carrying ell raw source bits when no codelet matches or
+    the search gives up.  The dictionary then grows in two
+    decoder-visible ways: an escape admits every level-1 candidate
+    matching its raw bits, and a phrase's first ell reconstruction bits
+    extend the codelet used one phrase earlier to the next level.  A
+    final sub-ell tail is escaped verbatim.
     """
     db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
     sm = None if src is None else (src if isinstance(src, SourceModel) else SourceModel.of(src))
@@ -638,6 +676,7 @@ def _decode_idealized(header: Header, payload: bytes,
     return _idealized_parse(header.n, ell, tree, header.src, next_phrase)[0]
 
 
+@_no_cycle_gc
 def decode(stream, cfg: Optional[LevelConfig] = None) -> BitSequence:
     """Reconstruction from a stream object or raw bytes.
 

@@ -23,7 +23,7 @@ from scipy.stats import chi2
 
 from .bits import BitSequence, bernoulli
 from .codec import coding_rate, encode_idealized
-from .dictionary import LevelConfig, default_step, level_size, target_reproduction_type
+from .dictionary import _MAX_STEP, LevelConfig, default_step, level_size, target_reproduction_type
 from .errors import ZeroRate
 from .matching import (
     ball_probability_exact,
@@ -104,8 +104,8 @@ class ExperimentConfig:
             raise ValueError("p must lie in [0, 1]")
         if not 0 <= self.dist <= 1:
             raise ValueError("D must lie in [0, 1]")
-        if self.ell < 0:
-            raise ValueError("ell must be nonnegative (0 = auto)")
+        if not 0 <= self.ell <= _MAX_STEP:
+            raise ValueError(f"ell must lie in [0, {_MAX_STEP}] (0 = auto)")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
         if not self.n_values or any(n < 1 for n in self.n_values):

@@ -1,5 +1,6 @@
 """Wire format and coder tests: bit I/O, LZ78 back end, headers, both coders."""
 
+import gc
 from fractions import Fraction
 
 import numpy as np
@@ -413,3 +414,68 @@ class TestContainer:
         back = EncodedStream.from_bytes(res.stream.to_bytes())
         assert back.payload_bits == 8 * len(back.payload)
         assert back.payload_bits >= res.stream.payload_bits
+
+
+# -- cycle collector -----------------------------------------------------
+
+
+def _round_trip_grid():
+    """Encode and decode with both coders; every result is dropped.
+
+    Covers escapes (D = 0, and tails shorter than ell), give-ups,
+    known and unknown p, and both match relations.
+    """
+    rng = np.random.default_rng(43)
+    for d in (Fraction(0), Fraction(11, 100), Fraction(1, 4), Fraction(1, 2)):
+        for src in (Fraction(1, 2), None):
+            x = bernoulli(rng, 601, 0.5)
+            res = encode_idealized(x, d, src=src, cfg=LevelConfig(ell=2, horizon_n=601))
+            assert decode(res.stream.to_bytes()) == res.y
+            for relation in MatchRelation:
+                res = encode_practical(x, d, relation=relation, src=src)
+                assert decode(res.stream.to_bytes()) == res.y
+    cfg = LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})
+    res = encode_idealized(bernoulli(rng, 200, 0.5), 1, cfg=cfg)
+    assert res.stats.give_ups > 0
+    assert decode(res.stream, cfg) == res.y
+
+
+class TestCycleCollector:
+    def test_coders_leave_no_cyclic_garbage(self):
+        # the coders run with the collector paused, which is safe only
+        # if reference counting alone frees everything they build
+        gc.collect()
+        gc.disable()
+        try:
+            _round_trip_grid()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_collector_is_switched_back_on(self):
+        assert gc.isenabled()
+        x = bernoulli(np.random.default_rng(44), 512, 0.5)
+        ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=512))
+        assert gc.isenabled()
+        prac = encode_practical(x, Fraction(1, 4))
+        assert gc.isenabled()
+        for stream in (ideal.stream, prac.stream):
+            decode(stream)
+            assert gc.isenabled()
+        with pytest.raises(CorruptStream):
+            decode(ideal.stream.to_bytes()[: Header.SIZE + 4])
+        assert gc.isenabled()
+
+    def test_collector_left_off_for_a_caller_who_disabled_it(self):
+        x = bernoulli(np.random.default_rng(45), 512, 0.5)
+        gc.disable()
+        try:
+            ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=512))
+            prac = encode_practical(x, Fraction(1, 4))
+            decode(ideal.stream)
+            decode(prac.stream)
+            with pytest.raises(CorruptStream):
+                decode(ideal.stream.to_bytes()[: Header.SIZE + 4])
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

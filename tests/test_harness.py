@@ -52,6 +52,7 @@ class TestExperimentConfig:
         dict(workers=0),
         dict(build_count=0),
         dict(depth=0),
+        dict(ell=17),
     ])
     def test_validation(self, bad):
         with pytest.raises(ValueError):
