@@ -42,6 +42,11 @@ class BitSequence:
     def __setattr__(self, name, val):  # pragma: no cover - guard only
         raise AttributeError("BitSequence is immutable")
 
+    def __reduce__(self):
+        # pickle through the constructor: the default path sets slots
+        # with setattr, which the immutability guard refuses
+        return BitSequence, (self.value, self.length)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

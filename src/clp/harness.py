@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -214,18 +216,59 @@ def _mean_sd(values: Sequence[float]) -> Tuple[float, float]:
     return m, math.sqrt(var)
 
 
+def _run_part(fn, items) -> list:
+    return [fn(item) for item in items]
+
+
+def _pool_map(fn, items: Sequence, workers: int) -> list:
+    """[fn(item) for item in items], on up to `workers` processes.
+
+    At most one process per item and per core is started.  Each takes
+    one contiguous part of the items.  Results come back in item order,
+    and a failure raises what the serial loop would raise first, so
+    nothing a caller sees depends on the process count.  fn and the
+    items must pickle.  Workers come from the platform's default start
+    method: the harness starts no threads, and a spawned worker would
+    first re-import numpy and scipy, which takes longer than a
+    desk-scale check.
+    """
+    procs = min(workers, len(items), os.cpu_count() or 1)
+    if procs <= 1:
+        return _run_part(fn, items)
+    cuts = [len(items) * k // procs for k in range(procs + 1)]
+    parts = [items[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=procs) as pool:
+        return [y for part in pool.map(partial(_run_part, fn), parts) for y in part]
+
+
+def _trial(fn, seed: int, tag: int, t: int):
+    return fn(_rng(seed, tag, t), t)
+
+
+def _trials(cfg: ExperimentConfig, tag: int, count: int, fn) -> list:
+    """fn(rng, t) for t in range(count), in trial order.
+
+    Trial t draws from the Philox stream keyed (cfg.seed, tag, t), so a
+    report is the same on any number of cfg.workers.  fn must be a
+    module-level function (or a partial of one) so that it pickles.
+    """
+    return _pool_map(partial(_trial, fn, cfg.seed, tag), range(count), cfg.workers)
+
+
 # -- dictionary growth shared by the level checks --------------------------
 
 
-def _grown_trees(cfg: ExperimentConfig, tag: int):
-    """Independent dictionaries built by encoding fresh inputs."""
-    trees = []
-    for b in range(cfg.build_count):
-        rng = _rng(cfg.seed, tag, b)
-        x = bernoulli(rng, cfg.build_n, float(cfg.p))
-        lc = LevelConfig(ell=cfg.step, horizon_n=cfg.build_n, delta=cfg.delta)
-        trees.append(encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree)
-    return trees
+def _grow(cfg: ExperimentConfig, levels: Tuple[int, ...], rng, t) -> List[List[BitSequence]]:
+    x = bernoulli(rng, cfg.build_n, float(cfg.p))
+    lc = LevelConfig(ell=cfg.step, horizon_n=cfg.build_n, delta=cfg.delta)
+    tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
+    return [_live_sequences(tree, level, cfg.step) for level in levels]
+
+
+def _grown_levels(cfg: ExperimentConfig, tag: int, levels: Tuple[int, ...]):
+    """Per build, the live sequences at `levels` of a dictionary grown by
+    encoding a fresh input."""
+    return _trials(cfg, tag, cfg.build_count, partial(_grow, cfg, levels))
 
 
 def _live_sequences(tree, level: int, ell: int) -> List[BitSequence]:
@@ -239,6 +282,11 @@ def _ball_radius(dist: Fraction, length: int) -> int:
 
 
 # -- checks ----------------------------------------------------------------
+
+
+def _match_count(cfg: ExperimentConfig, live, rng, t) -> int:
+    x = bernoulli(rng, cfg.depth, float(cfg.p))
+    return sum(1 for y in live[t % cfg.build_count] if matches_prefixwise(x, y, cfg.dist))
 
 
 def check_match_count_mean(cfg: ExperimentConfig) -> LemmaReport:
@@ -256,16 +304,13 @@ def check_match_count_mean(cfg: ExperimentConfig) -> LemmaReport:
     q = target_reproduction_type(cfg.p, cfg.dist)
     canon = canonical_type_sequence(depth, q)
     p_match = match_probability_exact(canon, cfg.dist, cfg.p)
-    trees = _grown_trees(cfg, 0)
-    live = [_live_sequences(t, level, ell) for t in trees]
+    live = [levels[0] for levels in _grown_levels(cfg, 0, (level,))]
     counts: List[float] = []
     diffs: List[float] = []
-    for t in range(cfg.trials):
-        seqs = live[t % cfg.build_count]
-        x = bernoulli(_rng(cfg.seed, 1, t), depth, float(cfg.p))
-        n_match = sum(1 for y in seqs if matches_prefixwise(x, y, cfg.dist))
+    matches = _trials(cfg, 1, cfg.trials, partial(_match_count, cfg, live))
+    for t, n_match in enumerate(matches):
         counts.append(float(n_match))
-        diffs.append(n_match - len(seqs) * float(p_match))
+        diffs.append(n_match - len(live[t % cfg.build_count]) * float(p_match))
     mean_n, _ = _mean_sd(counts)
     mean_diff, sd_diff = _mean_sd(diffs)
     se = sd_diff / math.sqrt(len(diffs))
@@ -291,6 +336,16 @@ def _ball_count(x: BitSequence, seqs: List[BitSequence], prefix_len: int,
     return hits
 
 
+def _ball_counts(cfg: ExperimentConfig, grown, rng, t) -> Tuple[int, int]:
+    """Ball hits of one fresh depth + ell bit input among the level-L and
+    level-(L+1) sequences of build t mod build_count."""
+    lows, highs = grown[t % cfg.build_count]
+    depth, deeper = cfg.depth, cfg.depth + cfg.step
+    x = bernoulli(rng, deeper, float(cfg.p))
+    return (_ball_count(x, lows, depth, _ball_radius(cfg.dist, depth)),
+            _ball_count(x, highs, deeper, _ball_radius(cfg.dist, deeper)))
+
+
 def check_match_count_second_moment(cfg: ExperimentConfig) -> LemmaReport:
     """Second moment of the ball match count across consecutive levels.
 
@@ -307,22 +362,15 @@ def check_match_count_second_moment(cfg: ExperimentConfig) -> LemmaReport:
     q = target_reproduction_type(cfg.p, cfg.dist)
     p_lo = ball_probability_exact(canonical_type_sequence(depth, q), cfg.dist, cfg.p)
     p_hi = ball_probability_exact(canonical_type_sequence(deeper, q), cfg.dist, cfg.p)
-    r_lo = _ball_radius(cfg.dist, depth)
-    r_hi = _ball_radius(cfg.dist, deeper)
-    trees = _grown_trees(cfg, 2)
-    lows = [_live_sequences(t, level, ell) for t in trees]
-    highs = [_live_sequences(t, level + 1, ell) for t in trees]
+    grown = _grown_levels(cfg, 2, (level, level + 1))
     sq_hi: List[float] = []
     rhs: List[float] = []
     n_lo_all: List[float] = []
     n_hi_all: List[float] = []
-    for t in range(cfg.trials):
-        b = t % cfg.build_count
-        x = bernoulli(_rng(cfg.seed, 3, t), deeper, float(cfg.p))
-        n_lo = _ball_count(x, lows[b], depth, r_lo)
-        n_hi = _ball_count(x, highs[b], deeper, r_hi)
-        m_lo = len(lows[b])
-        m_hi = len(highs[b])
+    hits = _trials(cfg, 3, cfg.trials, partial(_ball_counts, cfg, grown))
+    for t, (n_lo, n_hi) in enumerate(hits):
+        lows, highs = grown[t % cfg.build_count]
+        m_lo, m_hi = len(lows), len(highs)
         if m_lo == 0 or p_lo == 0:
             raise ValueError("level-L expected count vanishes; pick a denser cell")
         ratio = (m_hi * p_hi) / (m_lo * p_lo)
@@ -360,20 +408,15 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
     deeper = depth + ell
     q = target_reproduction_type(cfg.p, cfg.dist)
     p_lo = ball_probability_exact(canonical_type_sequence(depth, q), cfg.dist, cfg.p)
-    r_lo = _ball_radius(cfg.dist, depth)
-    r_hi = _ball_radius(cfg.dist, deeper)
-    trees = _grown_trees(cfg, 4)
-    lows = [_live_sequences(t, level, ell) for t in trees]
-    highs = [_live_sequences(t, level + 1, ell) for t in trees]
+    grown = _grown_levels(cfg, 4, (level, level + 1))
     hit_lo: List[float] = []
     hit_hi: List[float] = []
     m_lo_seen: List[float] = []
-    for t in range(cfg.trials):
-        b = t % cfg.build_count
-        x = bernoulli(_rng(cfg.seed, 5, t), deeper, float(cfg.p))
-        hit_lo.append(1.0 if _ball_count(x, lows[b], depth, r_lo) else 0.0)
-        hit_hi.append(1.0 if _ball_count(x, highs[b], deeper, r_hi) else 0.0)
-        m_lo_seen.append(float(len(lows[b])))
+    hits = _trials(cfg, 5, cfg.trials, partial(_ball_counts, cfg, grown))
+    for t, (n_lo, n_hi) in enumerate(hits):
+        hit_lo.append(1.0 if n_lo else 0.0)
+        hit_hi.append(1.0 if n_hi else 0.0)
+        m_lo_seen.append(float(len(grown[t % cfg.build_count][0])))
     f_lo, sd_lo = _mean_sd(hit_lo)
     f_hi, sd_hi = _mean_sd(hit_hi)
     mean_m, _ = _mean_sd(m_lo_seen)
@@ -388,6 +431,15 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
             "ball_probability_low": str(p_lo),
             "p": str(cfg.p), "D": str(cfg.dist),
         })
+
+
+def _admitted_members(cfg: ExperimentConfig, members: List[int], cap: int,
+                      build_n: int, rng, t) -> List[int]:
+    x = bernoulli(rng, build_n, float(cfg.p))
+    lc = LevelConfig(ell=cfg.step, horizon_n=build_n, delta=cfg.delta,
+                     level_sizes={1: cap})
+    tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
+    return [m for m in members if m in tree.level1]
 
 
 def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
@@ -411,15 +463,10 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     build_n = min(cfg.build_n, 64 * (1 << ell))
     counts = {m: 0 for m in members}
     builds = cfg.trials
-    for t in range(builds):
-        rng = _rng(cfg.seed, 6, t)
-        x = bernoulli(rng, build_n, float(cfg.p))
-        lc = LevelConfig(ell=ell, horizon_n=build_n, delta=cfg.delta,
-                         level_sizes={1: cap})
-        tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
-        for m in members:
-            if m in tree.level1:
-                counts[m] += 1
+    admitted = _trials(cfg, 6, builds, partial(_admitted_members, cfg, members, cap, build_n))
+    for build in admitted:
+        for m in build:
+            counts[m] += 1
     total = sum(counts.values())
     k = len(members)
     if total == 0:
@@ -478,6 +525,14 @@ def check_cycle_lemma(cfg: ExperimentConfig) -> LemmaReport:
         })
 
 
+def _frontier_run(cfg: ExperimentConfig, n: int, ell: int, rng,
+                  t) -> Tuple[int, Dict[int, int], int]:
+    x = bernoulli(rng, n, float(cfg.p))
+    lc = LevelConfig(ell=ell, horizon_n=n, delta=cfg.delta)
+    stats = encode_idealized(x, cfg.dist, cfg.p, lc).stats
+    return stats.give_ups, stats.max_frontier, stats.tree.max_level()
+
+
 def check_frontier_growth(cfg: ExperimentConfig) -> LemmaReport:
     """Frequency of search frontiers outgrowing the polynomial budget.
 
@@ -491,17 +546,14 @@ def check_frontier_growth(cfg: ExperimentConfig) -> LemmaReport:
     violations = 0
     deepest = 0
     widest: Dict[int, int] = {}
-    for t in range(encodes):
-        rng = _rng(cfg.seed, 7, t)
-        x = bernoulli(rng, n, float(cfg.p))
-        lc = LevelConfig(ell=ell, horizon_n=n, delta=cfg.delta)
-        stats = encode_idealized(x, cfg.dist, cfg.p, lc).stats
-        bad = stats.give_ups > 0
-        for lvl, size in stats.max_frontier.items():
+    runs = _trials(cfg, 7, encodes, partial(_frontier_run, cfg, n, ell))
+    for give_ups, max_frontier, max_level in runs:
+        bad = give_ups > 0
+        for lvl, size in max_frontier.items():
             widest[lvl] = max(widest.get(lvl, 0), size)
             if size > ((lvl * ell) ** 4) / cfg.delta:
                 bad = True
-        deepest = max(deepest, stats.tree.max_level())
+        deepest = max(deepest, max_level)
         if bad:
             violations += 1
     frac = violations / encodes
@@ -669,6 +721,28 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
         })
 
 
+def _codebook_draw(cfg: ExperimentConfig, covering: Dict[int, List[int]], m_size: int,
+                   rng, t) -> Tuple[List[int], int]:
+    """One covering codebook of m_size codelets, and the match count of a
+    fresh input against it."""
+    radius = _ball_radius(cfg.dist, cfg.depth)
+    book: List[int] = []
+    guard = 0
+    while len(book) < m_size:
+        guard += 1
+        if guard > 100000:
+            raise RuntimeError("covering draw failed to terminate")
+        x = bernoulli(rng, cfg.depth, float(cfg.p)).value
+        cov = covering[x]
+        if not cov:
+            continue
+        y = cov[int(rng.integers(len(cov)))]
+        if y not in book:
+            book.append(y)
+    fresh = bernoulli(rng, cfg.depth, float(cfg.p)).value
+    return book, sum(1 for y in book if (fresh ^ y).bit_count() <= radius)
+
+
 def random_codebook_baseline(cfg: ExperimentConfig) -> LemmaReport:
     """Pair-inclusion probability of the covering random codebook.
 
@@ -693,24 +767,9 @@ def random_codebook_baseline(cfg: ExperimentConfig) -> LemmaReport:
     hits: List[float] = []
     n_counts: List[float] = []
     n_sq: List[float] = []
-    for t in range(cfg.trials):
-        rng = _rng(cfg.seed, 10, t)
-        book: List[int] = []
-        guard = 0
-        while len(book) < m_size:
-            guard += 1
-            if guard > 100000:
-                raise RuntimeError("covering draw failed to terminate")
-            x = bernoulli(rng, depth, float(cfg.p)).value
-            cov = covering[x]
-            if not cov:
-                continue
-            y = cov[int(rng.integers(len(cov)))]
-            if y not in book:
-                book.append(y)
+    draws = _trials(cfg, 10, cfg.trials, partial(_codebook_draw, cfg, covering, m_size))
+    for book, n in draws:
         hits.append(1.0 if (target[0] in book and target[1] in book) else 0.0)
-        fresh = bernoulli(rng, depth, float(cfg.p)).value
-        n = sum(1 for y in book if (fresh ^ y).bit_count() <= radius)
         n_counts.append(float(n))
         n_sq.append(float(n * n))
     est, sd = _mean_sd(hits)
@@ -798,13 +857,11 @@ def rate_sweep(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     to cfg.out when set.  Trials at different seeds are independent and
     may run in worker processes; results are merged in seed order.
     """
+    # seed-major, so that each contiguous part of a pooled run holds
+    # every n alike; the sort below restores (n, seed) order
     cells = [(n, cfg.seed + s, str(cfg.p), str(cfg.dist), cfg.ell, cfg.delta)
-             for n in cfg.n_values for s in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            rows = list(pool.map(_rate_cell, cells, chunksize=4))
-    else:
-        rows = [_rate_cell(c) for c in cells]
+             for s in range(cfg.trials) for n in cfg.n_values]
+    rows = _pool_map(_rate_cell, cells, cfg.workers)
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     out: List[Dict[str, object]] = list(rows)
     for n in cfg.n_values:

@@ -47,10 +47,10 @@ from clp.rd_math import (
     binary_entropy,
     lower_mutual_info,
     lower_mutual_info_float,
-    lower_mutual_info_oracle_batch,
     optimal_reproduction_type,
     rate_distortion,
 )
+from rd_oracle import lower_mutual_info_oracle_batch
 
 
 def _verdict(capsys, num: int, label: str, problems, elapsed: float = None):

@@ -1,10 +1,13 @@
 """Harness plumbing: config parsing, report arithmetic, check registry, sweeps."""
 
 import csv
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
+import clp.harness as harness
 from clp.dictionary import default_step
 from clp.errors import ZeroRate
 from clp.harness import (
@@ -238,3 +241,43 @@ class TestRateSweep:
             assert a["seed"] == b["seed"]
             assert a["rate"] == b["rate"]
             assert a["escapes"] == b["escapes"]
+
+
+class TestWorkers:
+    def test_reports_do_not_depend_on_workers(self, monkeypatch):
+        # two cores at least, so that workers=2 starts a real pool anywhere
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        for cfg in CONFIGS:
+            pooled = dataclasses.replace(cfg, workers=2)
+            assert list(_check_records(pooled)) == list(_check_records(cfg))
+            assert _sweep_rows(pooled) == _sweep_rows(cfg)
+
+    @pytest.mark.parametrize("cores, trials, started", [
+        (64, 3, [3]),      # one process per trial at most
+        (4, 50, [4]),      # one process per core at most
+        (None, 50, []),    # core count unknown: run serially
+    ])
+    def test_process_count_is_clamped(self, monkeypatch, cores, trials, started):
+        seen = []
+
+        class InlinePool:
+            """Records the requested process count and maps in-process."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cores)
+        cfg = small_cfg(trials=trials, workers=100_000)
+        pooled = harness.random_codebook_baseline(cfg)
+        assert seen == started
+        assert pooled == harness.random_codebook_baseline(dataclasses.replace(cfg, workers=1))

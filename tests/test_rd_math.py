@@ -23,12 +23,11 @@ from clp.rd_math import (
     binary_entropy,
     lower_mutual_info,
     lower_mutual_info_float,
-    lower_mutual_info_oracle,
-    lower_mutual_info_oracle_batch,
     mutual_information,
     optimal_reproduction_type,
     rate_distortion,
 )
+from rd_oracle import lower_mutual_info_oracle, lower_mutual_info_oracle_batch
 
 H_QUARTER = 0.81127812445913286391
 H_03 = 0.88129089923069261822
