@@ -5,12 +5,15 @@ A BitSequence stores its symbols in one arbitrary-precision integer,
 (little-endian within the integer).  Distances reduce to XOR plus
 popcount.  A window is read from a little-endian byte copy of
 ``value``, made once per sequence, so it costs O(width) rather than a
-shift of all n bits.  File bytes are interpreted MSB-first, so byte
-0x80 is the sequence "10000000".
+shift of all n bits.  Iteration and the string and bit-list
+conversions likewise go through one byte or digit copy, so each is
+linear in n.  File bytes are interpreted MSB-first, so byte 0x80 is
+the sequence "10000000".
 """
 
 from __future__ import annotations
 
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, Tuple
 
 import numpy as np
@@ -24,6 +27,17 @@ __all__ = ["BitSequence", "concat_bits", "bernoulli"]
 # a slot, because a third slot would grow every BitSequence, and coders
 # keep one or two per phrase alive in their events.
 _window_bytes: Tuple[int, bytes] = (0, b"")
+
+# the bits of each byte value, least significant first
+_BYTE_BITS = [tuple((byte >> j) & 1 for j in range(8)) for byte in range(256)]
+
+# str.translate table deleting the two binary digits
+_BINARY_DIGITS = {ord("0"): None, ord("1"): None}
+
+
+def _pack_little(flags: np.ndarray) -> int:
+    """The integer whose bit i is flags[i], a uint8 array of 0s and 1s."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 class BitSequence:
@@ -52,23 +66,15 @@ class BitSequence:
     @classmethod
     def from_str(cls, text: str) -> "BitSequence":
         """Parse a string of 0s and 1s, first character first."""
-        value = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                value |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"not a binary digit: {ch!r}")
-        return cls(value, len(text))
+        junk = text.translate(_BINARY_DIGITS)
+        if junk:
+            raise ValueError(f"not a binary digit: {junk[0]!r}")
+        return cls(int(text[::-1], 2) if text else 0, len(text))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitSequence":
-        value = 0
-        n = 0
-        for b in bits:
-            if b:
-                value |= 1 << n
-            n += 1
-        return cls(value, n)
+        flags = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
+        return cls(_pack_little(flags), len(flags))
 
     @classmethod
     def from_bytes_msb(cls, data: bytes, nbits: int | None = None) -> "BitSequence":
@@ -82,8 +88,7 @@ class BitSequence:
         if nbits == 0:
             return cls(0, 0)
         arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:nbits]
-        packed = np.packbits(arr, bitorder="little").tobytes()
-        return cls(int.from_bytes(packed, "little"), nbits)
+        return cls(_pack_little(arr), nbits)
 
     @classmethod
     def zeros(cls, n: int) -> "BitSequence":
@@ -92,8 +97,9 @@ class BitSequence:
     # -- conversions ---------------------------------------------------
 
     def to01(self) -> str:
-        v = self.value
-        return "".join("1" if (v >> i) & 1 else "0" for i in range(self.length))
+        if self.length == 0:
+            return ""
+        return format(self.value, f"0{self.length}b")[::-1]
 
     def to_bytes_msb(self) -> bytes:
         """Pack back to bytes, MSB-first, zero-padded to a byte boundary."""
@@ -123,9 +129,8 @@ class BitSequence:
         return (self.value >> i) & 1
 
     def __iter__(self) -> Iterator[int]:
-        v = self.value
-        for i in range(self.length):
-            yield (v >> i) & 1
+        raw = self.value.to_bytes((self.length + 7) >> 3, "little")
+        return islice(chain.from_iterable(map(_BYTE_BITS.__getitem__, raw)), self.length)
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,6 +190,4 @@ def bernoulli(rng: np.random.Generator, n: int, p: float) -> BitSequence:
     """Sample n i.i.d. Bernoulli(p) symbols from a numpy Generator."""
     if n == 0:
         return BitSequence(0, 0)
-    bits = (rng.random(n) < p).astype(np.uint8)
-    packed = np.packbits(bits, bitorder="little").tobytes()
-    return BitSequence(int.from_bytes(packed, "little"), n)
+    return BitSequence(_pack_little((rng.random(n) < p).astype(np.uint8)), n)

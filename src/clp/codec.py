@@ -310,36 +310,33 @@ def lz78_encode(y: BitSequence) -> Tuple[bytes, int]:
     empty phrase.  A leading flag bit says whether the final record is
     partial: a bare index whose phrase exactly finishes the input.
     Returns the payload bytes and its exact bit length.
+
+    The parse walks y once, in order, through one little-endian byte
+    copy of its value (BitSequence iteration), so encoding is linear in
+    n.  A phrase's children are keyed by (index << 1) | bit, which is
+    also the record that adds the child: its index, then its new bit.
     """
     n = y.length
     if n == 0:
         return b"", 0
-    children: Dict[Tuple[int, int], int] = {}
-    records: List[Tuple[int, Optional[int]]] = []
+    children: Dict[int, int] = {}
+    records: List[int] = []  # (index << 1) | new bit, one per full record
     cur = 0
-    next_idx = 1
-    val = y.value
-    for i in range(n):
-        bit = (val >> i) & 1
-        got = children.get((cur, bit))
+    for bit in y:
+        key = (cur << 1) | bit
+        got = children.get(key)
         if got is not None:
             cur = got
             continue
-        records.append((cur, bit))
-        children[(cur, bit)] = next_idx
-        next_idx += 1
+        records.append(key)
+        children[key] = len(records)
         cur = 0
-    partial = cur != 0
-    if partial:
-        records.append((cur, None))
     w = BitWriter()
-    w.write_bit(1 if partial else 0)
-    for t, (idx, bit) in enumerate(records, start=1):
-        width = (t - 1).bit_length()
-        if width:
-            w.write(idx, width)
-        if bit is not None:
-            w.write_bit(bit)
+    w.write_bit(1 if cur else 0)
+    for t, key in enumerate(records, start=1):
+        w.write(key, (t - 1).bit_length() + 1)
+    if cur:
+        w.write(cur, len(records).bit_length())
     return w.getvalue(), w.bit_length
 
 
@@ -465,7 +462,7 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
     wval = window.value
     best = None
     best_score = None
-    best_key = None
+    best_len = 0
     for m in matches:
         L = m.depth
         ones_q, len_q = m.ones, L
@@ -478,16 +475,17 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
             score = 0.0
         else:
             score = lower_mutual_info_float(ones_q / len_q, ones_p / len_p, dn / dd)
-        key = (-L, lex_key(m.bits, L))
         if best is None:
-            best, best_score, best_key = m, score, key
+            best, best_score, best_len = m, score, L
             continue
         tie = (score == best_score) or abs(score - best_score) <= _TIE_TOL
         if tie:
-            if key < best_key:
-                best, best_score, best_key = m, min(score, best_score), key
+            # distinct leaves of one length differ in bits, so their
+            # lex keys differ: the key is needed only at equal length
+            if L > best_len or (L == best_len and lex_key(m.bits, L) < lex_key(best.bits, L)):
+                best, best_score, best_len = m, min(score, best_score), L
         elif score < best_score:
-            best, best_score, best_key = m, score, key
+            best, best_score, best_len = m, score, L
     return best
 
 

@@ -240,36 +240,52 @@ class CodebookTree:
 
         Full-codelet search prunes a subtree once the running mismatch
         count exceeds the budget of its deepest eligible leaf; the
-        prefix-wise search prunes on the first violated prefix.
+        prefix-wise search prunes on the first violated prefix.  The
+        walk relies on extend_codelet building children = [c0, c1]:
+        child i carries bit i at depth node.depth, so stepping to it
+        adds bit ^ i mismatches.  Children are pushed c0 then c1, and
+        the list comes out in that stack order, which select_codelet's
+        tie rule may depend on.
         """
         wlen = window.length
         if wlen == 0:
             return []
         wval = window.value
-        out: List[PracticalNode] = []
+        dn, dd = self._dn, self._dd
         prefix_wise = relation == MatchRelation.PREFIX_WISE
+        out: List[PracticalNode] = []
         stack = [(self.root, 0)]
+        pop, push = stack.pop, stack.append
         while stack:
-            node, m = stack.pop()
-            if node.is_leaf:
-                if m * self._dd <= self._dn * node.depth:
+            node, m = pop()
+            children = node.children
+            depth = node.depth
+            if children is None:
+                if m * dd <= dn * depth:
                     out.append(node)
                 continue
-            if node.depth >= wlen:
+            if depth >= wlen:
                 continue  # leaves below are longer than the window
-            bit = (wval >> node.depth) & 1
-            for child in node.children:
-                m2 = m + (bit ^ ((child.bits >> node.depth) & 1))
-                if prefix_wise:
-                    if m2 * self._dd > self._dn * child.depth:
-                        continue
-                elif m2 * self._dd > self._dn * min(child.max_leaf_depth, wlen):
-                    continue
-                stack.append((child, m2))
+            bit = (wval >> depth) & 1
+            c0, c1 = children
+            m0, m1 = m + bit, m + (bit ^ 1)  # child i carries bit i
+            if prefix_wise:
+                limit = dn * (depth + 1)
+                if m0 * dd <= limit:
+                    push((c0, m0))
+                if m1 * dd <= limit:
+                    push((c1, m1))
+            else:
+                deepest = c0.max_leaf_depth
+                if m0 * dd <= dn * (deepest if deepest < wlen else wlen):
+                    push((c0, m0))
+                deepest = c1.max_leaf_depth
+                if m1 * dd <= dn * (deepest if deepest < wlen else wlen):
+                    push((c1, m1))
         return out
 
     def extend_codelet(self, leaf: PracticalNode) -> Tuple[PracticalNode, PracticalNode]:
-        if not leaf.is_leaf:
+        if leaf.children is not None:
             raise NotALeaf(f"{leaf!r} already has children")
         d = leaf.depth
         c0 = PracticalNode(leaf.bits, d + 1)
@@ -278,10 +294,12 @@ class CodebookTree:
         self.leaf_count += 1
         # refresh subtree depth bounds up the path
         node = self.root
-        node.max_leaf_depth = max(node.max_leaf_depth, d + 1)
+        if node.max_leaf_depth <= d:
+            node.max_leaf_depth = d + 1
         for i in range(d):
             node = node.children[(leaf.bits >> i) & 1]
-            node.max_leaf_depth = max(node.max_leaf_depth, d + 1)
+            if node.max_leaf_depth <= d:
+                node.max_leaf_depth = d + 1
         leaf.max_leaf_depth = d + 1
         return c0, c1
 

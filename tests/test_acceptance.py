@@ -5,6 +5,7 @@ suspended, so a full -v run shows a live scoreboard even while individual
 assertions stay strict.
 """
 
+import os
 import time
 from fractions import Fraction
 
@@ -51,6 +52,10 @@ from clp.rd_math import (
     rate_distortion,
 )
 from rd_oracle import lower_mutual_info_oracle_batch
+
+# harness reports are identical for any worker count (tests/test_harness.py
+# TestWorkers), so the Monte Carlo criteria use up to two processes
+WORKERS = min(2, os.cpu_count() or 1)
 
 
 def _verdict(capsys, num: int, label: str, problems, elapsed: float = None):
@@ -338,9 +343,9 @@ def test_criterion_07_cycle_lemma_sweep(capsys):
 def test_criterion_08_lemma_suite(capsys):
     t0 = time.perf_counter()
     problems = []
-    base = ExperimentConfig()  # 10^4 trials, seed 7
+    base = ExperimentConfig(workers=WORKERS)  # 10^4 trials, seed 7
     frontier_cfg = ExperimentConfig(dist=Fraction(11, 100), ell=0,
-                                    n_values=(1 << 16,), trials=1000)
+                                    n_values=(1 << 16,), trials=1000, workers=WORKERS)
     runs = [
         (check_match_count_mean, base, 10000),
         (check_coverage_probability, base, 10000),
@@ -369,7 +374,7 @@ def test_criterion_09_rate_convergence(capsys):
     problems = []
     cfg = ExperimentConfig(p=Fraction(1, 2), dist=Fraction(11, 100), ell=0,
                            n_values=(1 << 14, 1 << 16, 1 << 18), trials=20,
-                           seed=7)
+                           seed=7, workers=WORKERS)
     rows = rate_sweep(cfg)
     means = {r["n"]: r for r in rows if r["seed"] == "mean"}
     gaps = [means[n]["gap"] for n in cfg.n_values]
@@ -381,7 +386,7 @@ def test_criterion_09_rate_convergence(capsys):
     for p in (Fraction(3, 10), Fraction(1, 2)):
         sweep = rate_sweep(ExperimentConfig(p=p, dist=Fraction(0), ell=2,
                                             n_values=(1 << 18,), trials=20,
-                                            seed=7))
+                                            seed=7, workers=WORKERS))
         mean_rate = [r for r in sweep if r["seed"] == "mean"][0]["rate"]
         target = binary_entropy(float(p))
         if abs(mean_rate - target) > 0.1:

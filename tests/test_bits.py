@@ -92,6 +92,22 @@ def test_window_on_sequences_sharing_one_value():
             assert second.window(start, 70) == shift_and_mask(second, start, 70)
 
 
+@pytest.mark.parametrize("lengths", [range(71), [2**16 + 3]], ids=["0-70", "2^16+3"])
+def test_conversions_agree_with_per_bit_windows(lengths):
+    # iteration and the string and bit-list conversions read y through
+    # byte or digit copies; each must equal a walk of one-bit windows
+    rng = np.random.default_rng(11)
+    for length in lengths:
+        s = bernoulli(rng, length, 0.5)
+        bits = [s.window(i, 1) for i in range(length)]
+        text = "".join(map(str, bits))
+        assert list(s) == bits
+        assert s.to01() == text
+        assert BitSequence.from_str(text) == s
+        assert BitSequence.from_bits(bits) == s
+        assert BitSequence.from_bits(b * 5 for b in bits) == s  # any truthy value is a 1
+
+
 def test_window_rejects_starts_outside_the_sequence():
     s = BitSequence.from_str("10110")
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Wire format and coder tests: bit I/O, LZ78 back end, headers, both coders."""
 
 import gc
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -90,7 +91,71 @@ class TestBitIO:
 # -- LZ78 payload --------------------------------------------------------
 
 
+def lz78_reference_records(y: BitSequence):
+    """Incremental parse bit by bit: (index, new bit) records, bit None
+    for a partial final record."""
+    phrases = {}
+    records = []
+    cur = 0
+    for i in range(y.length):
+        bit = (y.value >> i) & 1
+        if (cur, bit) in phrases:
+            cur = phrases[(cur, bit)]
+            continue
+        records.append((cur, bit))
+        phrases[(cur, bit)] = len(records)
+        cur = 0
+    if cur:
+        records.append((cur, None))
+    return records
+
+
+def lz78_reference_bits(records) -> str:
+    """The payload of the records as a 0/1 string, flag bit first."""
+    out = ["1" if records and records[-1][1] is None else "0"]
+    for t, (idx, bit) in enumerate(records, start=1):
+        width = (t - 1).bit_length()
+        out.append(format(idx, f"0{width}b") if width else "")
+        out.append("" if bit is None else str(bit))
+    return "".join(out)
+
+
 class TestLz78:
+    def test_matches_per_bit_reference_at_every_tail_length(self):
+        rng = np.random.default_rng(78)
+        tails = set()
+        for n in range(71):
+            inputs = [bernoulli(rng, n, 0.5), bernoulli(rng, n, 0.1), BitSequence.zeros(n)]
+            for y in inputs:
+                want = lz78_reference_records(y)
+                payload, nbits = lz78_encode(y)
+                if n == 0:
+                    assert (payload, nbits) == (b"", 0)
+                    continue
+                text = lz78_reference_bits(want)
+                assert nbits == len(text)
+                padded = text + "0" * (-len(text) % 8)
+                assert payload == int(padded, 2).to_bytes(len(padded) // 8, "big")
+                # read the records back out of the encoder's own payload
+                r = BitReader(payload)
+                partial = r.read(1) == 1
+                got = []
+                for t in range(1, len(want) + 1):
+                    idx = r.read((t - 1).bit_length())
+                    last_partial = partial and t == len(want)
+                    got.append((idx, None if last_partial else r.read(1)))
+                assert got == want, (n, y.to01())
+                tails.add((n % 8, partial))
+        assert tails == {(k, p) for k in range(8) for p in (False, True)}
+
+    def test_encode_is_linear_in_n(self):
+        # the linear parse takes ~0.5 s of process time on a 2-CPU Xeon; one
+        # that shifts the whole input once per bit took ~30 s there
+        y = bernoulli(np.random.default_rng(3), 1 << 20, 0.5)
+        start = time.process_time()
+        lz78_encode(y)
+        assert time.process_time() - start < 5.0
+
     def test_reference_vector(self):
         # y = 0101 parses as (0)(1)(01): flag 0, then 0 | 0,1 | 01,1
         assert lz78_encode(BitSequence.from_str("0101")) == (b"\x16", 7)

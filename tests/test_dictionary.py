@@ -75,6 +75,39 @@ def grow_random_trie(rng, steps: int, dist) -> CodebookTree:
     return tree
 
 
+def deepest_leaf(node) -> int:
+    if node.children is None:
+        return node.depth
+    return max(deepest_leaf(child) for child in node.children)
+
+
+def reference_find_matches(tree: CodebookTree, window: BitSequence, relation):
+    """The trie walk spelled out: pop a node, keep an in-budget leaf,
+    push each child whose bound holds, child 0 first."""
+    d = tree.dist.d
+    out = []
+    if window.length == 0:
+        return out
+    stack = [(tree.root, 0)]
+    while stack:
+        node, m = stack.pop()
+        if node.children is None:
+            if m <= d * node.depth:
+                out.append(node)
+            continue
+        if node.depth >= window.length:
+            continue
+        for child in node.children:
+            m2 = m + (window[node.depth] != child.sequence()[node.depth])
+            if relation == MatchRelation.PREFIX_WISE:
+                bound = child.depth
+            else:
+                bound = min(deepest_leaf(child), window.length)
+            if m2 <= d * bound:
+                stack.append((child, m2))
+    return out
+
+
 class TestPracticalTrie:
     def test_initial_state(self):
         tree = init_practical(Fraction(1, 2))
@@ -120,6 +153,22 @@ class TestPracticalTrie:
                 if leaf.depth <= wlen and pred(window[: leaf.depth], leaf.sequence(), d):
                     want.add((leaf.bits, leaf.depth))
             assert got == want
+
+    @pytest.mark.parametrize("relation", [MatchRelation.FULL_CODELET,
+                                          MatchRelation.PREFIX_WISE])
+    def test_find_matches_order_agrees_with_reference_walk(self, relation):
+        # select_codelet's tolerance-based tie rule may depend on the
+        # order of the candidates, so the list is pinned, not just the set
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            d = Fraction(int(rng.integers(0, 7)), 16)
+            tree = grow_random_trie(rng, int(rng.integers(0, 200)), d)
+            for _ in range(5):
+                wlen = int(rng.integers(1, 20))
+                window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
+                got = [(m.bits, m.depth) for m in tree.find_matches(window, relation)]
+                want = [(m.bits, m.depth) for m in reference_find_matches(tree, window, relation)]
+                assert got == want
 
     def test_find_matches_empty_window(self):
         tree = init_practical(Fraction(1, 2))
