@@ -24,8 +24,8 @@ __all__ = ["BitSequence", "concat_bits", "bernoulli"]
 # matched by identity; holding the int keeps that identity from being
 # reused.  Two sequences may share one int object: bits past either
 # length are zero, so the same bytes serve both.  It lives here, not in
-# a slot, because a third slot would grow every BitSequence, and coders
-# keep one or two per phrase alive in their events.
+# a slot, because a third slot would grow every BitSequence, and a list
+# of a coder's parse events holds two per phrase.
 _window_bytes: Tuple[int, bytes] = (0, b"")
 
 # the bits of each byte value, least significant first

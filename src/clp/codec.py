@@ -38,14 +38,16 @@ appear in source order.
 
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
-only acyclic data (trees whose links point downward, leaf records,
-events, and a parse callback that does not refer to itself), so
-reference counting frees all of it, and the pause changes neither the
-output nor peak memory; it only stops full collections from walking
-every node and event built so far, none of which is ever garbage.  The
-switch is process-wide: while a coder runs, cycles made by other
-threads wait for it to return before they are collected.  A coder that
-finds the collector off leaves it off.
+only acyclic data (trees whose links point downward, leaf records, a
+parse callback that does not refer to itself, and one flat tuple per
+phrase for its event), so reference counting frees all of it, and the
+pause changes neither the output nor peak memory; it only stops full
+collections from walking every node and tuple built so far, none of
+which is ever garbage.  Events are flat rows: a ParseEvent and its two
+BitSequences are built only when the event is read.  The switch is
+process-wide: while a coder runs, cycles made by other threads wait
+for it to return before they are collected.  A coder that finds the
+collector off leaves it off.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import gc
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitSequence, concat_bits
 from .dictionary import (
@@ -239,9 +241,6 @@ class BitWriter:
                 cur, fill = 0, 0
         self._cur, self._fill = cur, fill
 
-    def write_bit(self, bit: int) -> None:
-        self.write(bit & 1, 1)
-
     def write_trunc(self, value: int, bound: int) -> None:
         """Truncated binary for value in [0, bound); 0 bits when bound is 1."""
         if not 0 <= value < bound:
@@ -282,9 +281,6 @@ class BitReader:
         shift = (last << 3) - end
         self.pos = end
         return (chunk >> shift) & ((1 << nbits) - 1)
-
-    def read_bit(self) -> int:
-        return self.read(1)
 
     def read_trunc(self, bound: int) -> int:
         """Inverse of BitWriter.write_trunc for the same bound."""
@@ -332,7 +328,7 @@ def lz78_encode(y: BitSequence) -> Tuple[bytes, int]:
         children[key] = len(records)
         cur = 0
     w = BitWriter()
-    w.write_bit(1 if cur else 0)
+    w.write(1 if cur else 0, 1)
     for t, key in enumerate(records, start=1):
         w.write(key, (t - 1).bit_length() + 1)
     if cur:
@@ -345,7 +341,7 @@ def lz78_decode(payload: bytes, n: int) -> BitSequence:
     if n == 0:
         return BitSequence(0, 0)
     r = BitReader(payload)
-    partial = r.read_bit() == 1
+    partial = r.read(1) == 1
     values = [0]
     lengths = [0]
     parts: List[Tuple[int, int]] = []
@@ -363,7 +359,7 @@ def lz78_decode(payload: bytes, n: int) -> BitSequence:
             break
         if plen + 1 > n - done:
             raise CorruptStream("phrase overruns the declared length")
-        bit = r.read_bit()
+        bit = r.read(1)
         value = values[idx] | (bit << plen)
         values.append(value)
         lengths.append(plen + 1)
@@ -388,6 +384,41 @@ class ParseEvent:
     distortion: int
     level: Optional[int] = None
     index: Optional[int] = None
+
+
+# one phrase as the coders record it: the ParseEvent fields in order,
+# with the two bit strings as their int values
+_Row = Tuple[str, int, int, int, int, int, Optional[int], Optional[int]]
+
+
+def _event(row: _Row) -> ParseEvent:
+    kind, pos, length, x_value, y_value, distortion, level, index = row
+    return ParseEvent(kind, pos, length, BitSequence(x_value, length),
+                      BitSequence(y_value, length), distortion, level, index)
+
+
+class _EventLog(Sequence[ParseEvent]):
+    """Read-only sequence of ParseEvents kept as flat rows.
+
+    The coders append one row per phrase; each read builds a fresh
+    ParseEvent, so the parse loop allocates no event objects.
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[_Row]):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [_event(row) for row in self._rows[key]]
+        return _event(self._rows[key])
+
+    def __iter__(self):
+        return map(_event, self._rows)
 
 
 @dataclass
@@ -430,13 +461,13 @@ def coding_rate(stream: EncodedStream) -> float:
 class PracticalResult(NamedTuple):
     y: BitSequence
     stream: EncodedStream
-    events: List[ParseEvent]
+    events: Sequence[ParseEvent]
 
 
 class IdealizedResult(NamedTuple):
     y: BitSequence
     stream: EncodedStream
-    events: List[ParseEvent]
+    events: Sequence[ParseEvent]
     stats: EncodeStats
 
 
@@ -501,7 +532,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
     n = x.length
     tree = init_practical(db)
-    events: List[ParseEvent] = []
+    rows: List[_Row] = []
     parts: List[Tuple[int, int]] = []
     pos = 0
     parsed_ones = 0
@@ -511,10 +542,9 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
         window = BitSequence(x.window(pos, width), width)
         matches = tree.find_matches(window, relation)
         if not matches:
-            tail = BitSequence(x.window(pos, rem), rem)
-            parts.append((tail.value, rem))
-            events.append(ParseEvent(kind="escape", pos=pos, length=rem,
-                                     x_bits=tail, y_bits=tail, distortion=0))
+            tail = x.window(pos, rem)
+            parts.append((tail, rem))
+            rows.append(("escape", pos, rem, tail, tail, 0, None, None))
             pos = n
             break
         chosen = select_codelet(matches, window, parsed_ones, pos, db)
@@ -522,10 +552,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
         xseg = window.value & ((1 << L) - 1)  # a leaf is never longer than the window
         d_inc = (xseg ^ chosen.bits).bit_count()
         parts.append((chosen.bits, L))
-        events.append(ParseEvent(kind="codelet", pos=pos, length=L,
-                                 x_bits=BitSequence(xseg, L),
-                                 y_bits=BitSequence(chosen.bits, L),
-                                 distortion=d_inc))
+        rows.append(("codelet", pos, L, xseg, chosen.bits, d_inc, None, None))
         tree.extend_codelet(chosen)
         parsed_ones += xseg.bit_count()
         pos += L
@@ -533,7 +560,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     payload, nbits = lz78_encode(y)
     header = Header.build(n=n, dist=db, src=src, ell=0,
                           variant=VARIANT_PRACTICAL, relation=relation)
-    return PracticalResult(y, EncodedStream(header, payload, nbits), events)
+    return PracticalResult(y, EncodedStream(header, payload, nbits), _EventLog(rows))
 
 
 # -- idealized coder ------------------------------------------------------
@@ -604,7 +631,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     ell = cfg.ell
     tree = idealized_build_init(cfg, db)
     writer = BitWriter()
-    events: List[ParseEvent] = []
+    rows: List[_Row] = []
     stats = EncodeStats(tree=tree)
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
@@ -625,9 +652,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
             seg = window & ((1 << seglen) - 1)
             writer.write_trunc(0, slot_bound)
             writer.write(lex_key(seg, seglen), seglen)  # MSB first = source order
-            raw = BitSequence(seg, seglen)
-            events.append(ParseEvent(kind="escape", pos=pos, length=seglen,
-                                     x_bits=raw, y_bits=raw, distortion=0))
+            rows.append(("escape", pos, seglen, seg, seg, 0, None, None))
             stats.escapes += 1
             return seg, seglen, None
         seglen = best.level * ell
@@ -635,17 +660,15 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
         xseg = window & ((1 << seglen) - 1)
         d_inc = (xseg ^ best.bits).bit_count()
         stats.distortion += d_inc
-        events.append(ParseEvent(kind="codelet", pos=pos, length=seglen,
-                                 x_bits=BitSequence(xseg, seglen),
-                                 y_bits=BitSequence(best.bits, seglen),
-                                 distortion=d_inc, level=best.level, index=best.ordinal))
+        rows.append(("codelet", pos, seglen, xseg, best.bits, d_inc,
+                     best.level, best.ordinal))
         return best.bits, seglen, best
 
     y, stats.promotions = _idealized_parse(n, ell, tree, sm, next_phrase)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
     stream = EncodedStream(header, writer.getvalue(), writer.bit_length)
-    return IdealizedResult(y, stream, events, stats)
+    return IdealizedResult(y, stream, _EventLog(rows), stats)
 
 
 def _decode_idealized(header: Header, payload: bytes,

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clp import codec
 from clp.bits import BitSequence, bernoulli
 from clp.codec import (
     FORMAT_VERSION,
@@ -452,6 +453,50 @@ class TestIdealizedCoder:
         assert len(raw) > Header.SIZE + 8
         with pytest.raises(CorruptStream):
             decode(EncodedStream.from_bytes(raw[: Header.SIZE + 4]))
+
+
+# -- parse events --------------------------------------------------------
+
+
+def _event_logs(n):
+    """(result, phrase count) for each coder on one input of n bits."""
+    x = bernoulli(np.random.default_rng(39), n, 0.5)
+    prac = encode_practical(x, Fraction(0))
+    yield prac, len(lz78_phrase_lengths(x.to01()))
+    ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=n))
+    yield ideal, ideal.stats.phrases
+
+
+class TestEventLog:
+    def test_length_indexing_slicing_and_iteration_agree(self):
+        for res, phrases in _event_logs(700):
+            events = list(res.events)
+            assert len(res.events) == phrases == len(events)
+            assert sum(e.length for e in events) == 700
+            assert res.events[-1] == events[-1]
+            assert res.events[1:4] == events[1:4]
+            assert [res.events[i] for i in range(phrases)] == events
+            assert list(res.events) == events  # a second pass reads the same
+
+    def test_idealized_encode_builds_no_bit_sequence_per_phrase(self, monkeypatch):
+        # events stay flat rows until read, so the parse loop constructs
+        # no BitSequence, however many phrases it writes
+        built = []
+        real = codec.BitSequence
+
+        def counting(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(codec, "BitSequence", counting)
+        seen = {}
+        for n in (1000, 4099):
+            x = bernoulli(np.random.Generator(np.random.Philox(n)), n, 0.3)
+            built.clear()
+            res = encode_idealized(x, Fraction(11, 100))
+            seen[n] = (res.stats.phrases, len(built))
+        assert seen[1000][0] < seen[4099][0]
+        assert seen[4099][1] == seen[1000][1]
 
 
 # -- container -----------------------------------------------------------
