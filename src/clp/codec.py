@@ -72,7 +72,7 @@ from .dictionary import (
     lex_key,
 )
 from .errors import BadMagic, CorruptStream, EmptyMatchSet, UnsupportedVersion
-from .matching import MatchRelation
+from .matching import MatchRelation, hamming_distance
 from .rd_math import DistortionBudget, SourceModel, lower_mutual_info_float
 
 __all__ = [
@@ -218,7 +218,12 @@ class Header:
 
 
 class BitWriter:
-    """Most-significant-bit-first bit sink."""
+    """Most-significant-bit-first bit sink.
+
+    Bits not yet flushed wait in an integer accumulator, fewer than 8
+    of them between calls; write shifts a field in and flushes every
+    whole byte with one int.to_bytes.
+    """
 
     def __init__(self):
         self._out = bytearray()
@@ -230,15 +235,13 @@ class BitWriter:
         if nbits < 0 or value < 0 or (nbits < value.bit_length()):
             raise ValueError("value does not fit the field")
         self.bit_length += nbits
-        cur, fill = self._cur, self._fill
-        while nbits > 0:
-            take = min(8 - fill, nbits)
-            cur = (cur << take) | ((value >> (nbits - take)) & ((1 << take) - 1))
-            fill += take
-            nbits -= take
-            if fill == 8:
-                self._out.append(cur)
-                cur, fill = 0, 0
+        cur = (self._cur << nbits) | value
+        fill = self._fill + nbits
+        if fill >= 8:
+            rest = fill & 7
+            self._out += (cur >> rest).to_bytes(fill >> 3, "big")
+            cur &= (1 << rest) - 1
+            fill = rest
         self._cur, self._fill = cur, fill
 
     def write_trunc(self, value: int, bound: int) -> None:
@@ -566,11 +569,8 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
 # -- idealized coder ------------------------------------------------------
 
 
-def _estimate_src(src: Optional[SourceModel], y_ones: int, y_len: int) -> SourceModel:
-    if src is not None:
-        return src
-    if y_len == 0:
-        return SourceModel(Fraction(1, 2))
+def _estimate_src(y_ones: int, y_len: int) -> SourceModel:
+    """The source model an unknown-source parse assumes: y's bias so far."""
     return SourceModel(Fraction(y_ones, y_len))
 
 
@@ -585,23 +585,34 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     construction: a phrase's first ell bits extend the codelet used one
     phrase earlier to the next level, and a full-length escape admits
     the level-1 candidates matching its raw bits.
+
+    A level's cap freezes the first time growth asks for it.  With the
+    source unknown (sm None) it is sized for y's bias up to and
+    including the phrase that freezes it; that estimate is built only
+    when the level promote or fill_level1 is about to use has no
+    frozen cap, so at most once per level.
     """
     parts: List[Tuple[int, int]] = []
+    add_part = parts.append
+    promote, fill_level1 = tree.promote, tree.fill_level1
+    caps = tree.caps
+    known = sm is not None
+    mask = (1 << ell) - 1
     pos = 0
     y_ones = 0
     promotions = 0
     prev_node: Optional[LevelNode] = None
     while pos < n:
         seg, seglen, node = next_phrase(pos, n - pos)
-        parts.append((seg, seglen))
+        add_part((seg, seglen))
         y_ones += seg.bit_count()
         pos += seglen
-        now = _estimate_src(sm, y_ones, pos)
         if prev_node is not None and seglen >= ell:
-            if tree.promote(prev_node, seg & ((1 << ell) - 1), now) is not None:
+            src = sm if known or prev_node.level + 1 in caps else _estimate_src(y_ones, pos)
+            if promote(prev_node, seg & mask, src) is not None:
                 promotions += 1
         if node is None and seglen == ell:
-            tree.fill_level1(seg, now)
+            fill_level1(seg, sm if known or 1 in caps else _estimate_src(y_ones, pos))
         prev_node = node
     return concat_bits(parts), promotions
 
@@ -633,38 +644,46 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     writer = BitWriter()
     rows: List[_Row] = []
     stats = EncodeStats(tree=tree)
+    max_frontier = stats.max_frontier
+    add_row = rows.append
+    window_of, search = x.window, tree.search
+    write, write_trunc = writer.write, writer.write_trunc
+    levels, admitted = tree.levels, tree.admitted
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
-        stats.phrases += 1
-        slot_bound = len(tree.admitted) + 1
-        # a window shorter than ell matches nothing, so the tail escapes
-        width = min(rem, max(tree.max_level(), 1) * ell)
-        window = x.window(pos, width)  # every phrase below fits inside it
-        best, frontier = tree.search(window, width)
+        slot_bound = len(admitted) + 1
+        # levels always holds level 1, so the window spans at least ell
+        # bits; a window shorter than ell matches nothing, so the tail
+        # escapes
+        width = min(rem, (len(levels) - 1) * ell)
+        window = window_of(pos, width)  # every phrase below fits inside it
+        best, frontier = search(window, width)
         for lvl, size in frontier.sizes.items():
-            if size > stats.max_frontier.get(lvl, 0):
-                stats.max_frontier[lvl] = size
+            if size > max_frontier.get(lvl, 0):
+                max_frontier[lvl] = size
         if frontier.give_up:
             stats.give_ups += 1
             best = None
         if best is None:
             seglen = min(rem, ell)
             seg = window & ((1 << seglen) - 1)
-            writer.write_trunc(0, slot_bound)
-            writer.write(lex_key(seg, seglen), seglen)  # MSB first = source order
-            rows.append(("escape", pos, seglen, seg, seg, 0, None, None))
-            stats.escapes += 1
+            write_trunc(0, slot_bound)
+            write(lex_key(seg, seglen), seglen)  # MSB first = source order
+            add_row(("escape", pos, seglen, seg, seg, 0, None, None))
             return seg, seglen, None
-        seglen = best.level * ell
-        writer.write_trunc(best.ordinal + 1, slot_bound)
+        level, bits = best.level, best.bits
+        seglen = level * ell
+        write_trunc(best.ordinal + 1, slot_bound)
         xseg = window & ((1 << seglen) - 1)
-        d_inc = (xseg ^ best.bits).bit_count()
-        stats.distortion += d_inc
-        rows.append(("codelet", pos, seglen, xseg, best.bits, d_inc,
-                     best.level, best.ordinal))
-        return best.bits, seglen, best
+        add_row(("codelet", pos, seglen, xseg, bits, (xseg ^ bits).bit_count(),
+                 level, best.ordinal))
+        return bits, seglen, best
 
     y, stats.promotions = _idealized_parse(n, ell, tree, sm, next_phrase)
+    # per-phrase totals, counted once from the finished parse
+    stats.phrases = len(rows)
+    stats.escapes = [row[0] for row in rows].count("escape")
+    stats.distortion = hamming_distance(x, y)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
     stream = EncodedStream(header, writer.getvalue(), writer.bit_length)
@@ -680,15 +699,16 @@ def _decode_idealized(header: Header, payload: bytes,
     ell = cfg.ell
     tree = idealized_build_init(cfg, header.dist)
     reader = BitReader(payload)
+    read_trunc, admitted = reader.read_trunc, tree.admitted
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
-        slot = reader.read_trunc(len(tree.admitted) + 1)
+        slot = read_trunc(len(admitted) + 1)
         if slot == 0:
             seglen = min(rem, ell)
             return lex_key(reader.read(seglen), seglen), seglen, None
-        if slot > len(tree.admitted):
+        if slot > len(admitted):
             raise CorruptStream(f"slot {slot} has not been admitted yet")
-        node = tree.admitted[slot - 1]
+        node = admitted[slot - 1]
         seglen = node.level * ell
         if seglen > rem:
             raise CorruptStream("codelet overruns the declared length")

@@ -20,6 +20,7 @@ the hot paths never touch BitSequence objects.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -93,13 +94,21 @@ def level_size(L: int, src, dist) -> int:
     p_L is the prefix-wise match probability of the canonical codelet of
     the rounded optimal reproduction type at length L.  Callers cap the
     result by the number of candidates the construction can actually
-    offer at that depth.
+    offer at that depth.  Results are cached by the exact (L, p, D), so
+    dictionaries grown with the same parameters share one computation.
     """
     if L <= 0:
         raise ValueError("depth must be positive")
-    q = target_reproduction_type(src, dist)
+    p = src.p if isinstance(src, SourceModel) else SourceModel.of(src).p
+    d = dist.d if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist).d
+    return _level_size(L, p, d)
+
+
+@functools.lru_cache(maxsize=1024)
+def _level_size(L: int, p: Fraction, d: Fraction) -> int:
+    q = target_reproduction_type(p, d)
     y = canonical_type_sequence(L, q)
-    p_L = match_probability_exact(y, dist, src)
+    p_L = match_probability_exact(y, d, p)
     if p_L == 0:
         raise ValueError("canonical codelet has zero match probability")
     target = Fraction(L * L) / p_L
@@ -189,6 +198,12 @@ class SearchFrontier:
         return self.sizes.get(level, 0)
 
 
+# (steps, valid): steps[d] is the mismatch count after a segment whose
+# XOR against the window is d, or None when that breaks the budget;
+# valid lists the d that keep it, in increasing order
+_Continuation = Tuple[Tuple[Optional[int], ...], Tuple[int, ...]]
+
+
 class CodebookTree:
     """Either dictionary variant behind one handle."""
 
@@ -214,8 +229,10 @@ class CodebookTree:
             self.admitted: List[LevelNode] = []  # every codelet, admission order
             self.caps: Dict[int, int] = {}
             self._filled: set = set()  # windows fill_level1 has already walked
-            self._pop = [d.bit_count() for d in range(1 << cfg.ell)]
-            self._continuation_cache: Dict[Tuple[int, int], Tuple[bytes, Tuple[int, ...]]] = {}
+            # per level k: the continuations from level k, indexed by
+            # entering mismatch count (None until first needed), and the
+            # frontier size at level k + 1 beyond which search gives up
+            self._continuation_cache: List[Tuple[List[Optional[_Continuation]], float]] = []
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -326,12 +343,18 @@ class CodebookTree:
         return len(self.levels[level])
 
     def _admit(self, bits: int, level: int) -> LevelNode:
-        """The one place codelets are created: next ordinal, end of its level."""
-        node = LevelNode(bits, level, len(self.admitted))
-        while len(self.levels) <= level:
-            self.levels.append([])
-        self.levels[level].append(node)
-        self.admitted.append(node)
+        """The one place codelets are created: next ordinal, end of its level.
+
+        A codelet is admitted at most one level below the deepest
+        existing one, so level <= len(levels).
+        """
+        admitted, levels = self.admitted, self.levels
+        node = LevelNode(bits, level, len(admitted))
+        if level == len(levels):
+            levels.append([node])
+        else:
+            levels[level].append(node)
+        admitted.append(node)
         return node
 
     def fill_level1(self, window_bits: int, src) -> List[LevelNode]:
@@ -342,12 +365,17 @@ class CodebookTree:
         always completes by copying the window, so the walk costs
         O(ell * cap) rather than a scan of all 2^ell patterns.  A window
         seen before admits nothing: its first fill either filled level 1
-        or admitted every match, and the cap froze then.
+        or admitted every match, and the cap froze then.  Like promote,
+        it reads a frozen cap from caps, so src is read only by the
+        first fill.
         """
         if window_bits in self._filled:
             return []
         self._filled.add(window_bits)
-        room = self.cap(1, src) - self.live_count(1)
+        cap = self.caps.get(1)
+        if cap is None:
+            cap = self.cap(1, src)
+        room = cap - self.live_count(1)
         added: List[LevelNode] = []
         stack = [(0, 0, 0)]  # (bits, length, mismatches)
         while stack and len(added) < room:
@@ -367,43 +395,57 @@ class CodebookTree:
         """Admit one extension of a codelet to the next level.
 
         Returns the new node, or None when the extension is already
-        admitted or the next level is full.  The cap freezes when first
-        asked, so it is asked only for a new extension.
+        admitted or the next level is full.  The next level's cap
+        freezes when first asked, so it is asked only for a new
+        extension, and src is read only while that cap is unfrozen:
+        once frozen it is read from caps without calling cap().
         """
-        if extension in leaf.children:
+        children = leaf.children
+        if extension in children:
             return None
-        nxt = leaf.level + 1
-        if self.live_count(nxt) >= self.cap(nxt, src):
+        level = leaf.level
+        nxt = level + 1
+        cap = self.caps.get(nxt)
+        if cap is None:
+            cap = self.cap(nxt, src)
+        levels = self.levels
+        if nxt < len(levels) and len(levels[nxt]) >= cap:
             return None
-        node = self._admit(leaf.bits | (extension << (leaf.level * self.ell)), nxt)
-        leaf.children[extension] = node
+        node = self._admit(leaf.bits | (extension << (level * self.ell)), nxt)
+        children[extension] = node
         return node
 
-    def _continuations(self, offset_levels: int, entering_mism: int) -> Tuple[bytes, Tuple[int, ...]]:
-        """Validity of each ell-bit mismatch pattern continuing a match.
+    def _continuation_level(self, level: int) -> Tuple[List[Optional[_Continuation]], float]:
+        """The cache entry of a level, with those of all shallower ones."""
+        cache = self._continuation_cache
+        while len(cache) <= level:
+            k = len(cache)
+            cache.append(([None] * (k * self.ell + 1),
+                          ((k + 1) * self.ell) ** 4 / self.cfg.delta))
+        return cache[level]
 
-        Entry d of the table answers: starting at depth offset_levels *
-        ell with entering_mism mismatches, does appending a segment whose
-        XOR against the window is d keep every prefix within budget?
-        The tuple lists the valid d in increasing order.
+    def _continuations(self, offset_levels: int, entering_mism: int) -> _Continuation:
+        """Each ell-bit mismatch pattern continuing a match, if in budget.
+
+        Entry d answers: starting at depth offset_levels * ell with
+        entering_mism mismatches, does appending a segment whose XOR
+        against the window is d keep every prefix within budget, and
+        with how many mismatches?  The result is stored in
+        _continuation_cache, which search reads first.
         """
-        key = (offset_levels, entering_mism)
-        got = self._continuation_cache.get(key)
-        if got is None:
-            ell = self.ell
-            base = offset_levels * ell
-            out = bytearray(1 << ell)
-            for d in range(1 << ell):
-                m = entering_mism
-                ok = True
-                for j in range(1, ell + 1):
-                    m += (d >> (j - 1)) & 1
-                    if m * self._dd > self._dn * (base + j):
-                        ok = False
-                        break
-                out[d] = ok
-            got = (bytes(out), tuple(d for d in range(1 << ell) if out[d]))
-            self._continuation_cache[key] = got
+        ell = self.ell
+        base = offset_levels * ell
+        steps: List[Optional[int]] = []
+        for d in range(1 << ell):
+            m = entering_mism
+            for j in range(1, ell + 1):
+                m += (d >> (j - 1)) & 1
+                if m * self._dd > self._dn * (base + j):
+                    m = None
+                    break
+            steps.append(m)
+        got = (tuple(steps), tuple(d for d, m in enumerate(steps) if m is not None))
+        self._continuation_level(offset_levels)[0][entering_mism] = got
         return got
 
     def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], SearchFrontier]:
@@ -411,47 +453,61 @@ class CodebookTree:
 
         Builds the frontier of (codelet, mismatches) pairs level by
         level, starting from the never-admitted root whose children are
-        level 1.  Each frontier node probes only in-budget segments: it
-        looks up each valid mismatch pattern among its children when
-        there are fewer patterns than children, and otherwise checks
-        each child against the validity table.  Sets give_up and stops
-        descending when a frontier outgrows (k * ell)^4 / delta.
+        level 1, down to depth floor(window_len / ell) levels.  Each
+        frontier node probes only in-budget segments: it looks up each
+        valid mismatch pattern among its children when there are fewer
+        patterns than children, and otherwise checks each child against
+        the pattern table, built on the first miss of
+        _continuation_cache.  Sets give_up and stops descending when a
+        frontier outgrows (k * ell)^4 / delta.  The oldest node is the
+        one with the least ordinal; a one-node frontier is its own.
         """
         ell = self.ell
         mask = (1 << ell) - 1
-        pop = self._pop
+        cache = self._continuation_cache
         frontier = SearchFrontier()
+        sizes = frontier.sizes
         current: List[Tuple[LevelNode, int]] = [(self.root, 0)]
         level = 0
-        while (level + 1) * ell <= window_len:
+        depth = window_len // ell  # levels the window can hold
+        while level < depth:
             seg = (window_bits >> (level * ell)) & mask
+            by_mism, limit = cache[level] if level < len(cache) else self._continuation_level(level)
             nxt: List[Tuple[LevelNode, int]] = []
             for node, m in current:
                 children = node.children
                 if not children:
                     continue
-                table, patterns = self._continuations(level, m)
-                if len(patterns) < len(children):
-                    for d in patterns:
+                got = by_mism[m]
+                if got is None:
+                    got = self._continuations(level, m)
+                steps, valid = got
+                if len(valid) < len(children):
+                    for d in valid:
                         child = children.get(seg ^ d)
                         if child is not None:
-                            nxt.append((child, m + pop[d]))
+                            nxt.append((child, steps[d]))
                 else:
                     for ext, child in children.items():
-                        d = ext ^ seg
-                        if table[d]:
-                            nxt.append((child, m + pop[d]))
+                        m2 = steps[ext ^ seg]
+                        if m2 is not None:
+                            nxt.append((child, m2))
             if not nxt:
                 break
             level += 1
             current = nxt
-            frontier.sizes[level] = len(nxt)
-            if len(nxt) > ((level * ell) ** 4) / self.cfg.delta:
+            size = sizes[level] = len(nxt)
+            if size > limit:
                 frontier.give_up = True
                 break
         if level == 0:
             return None, frontier
-        return min(current, key=lambda pair: pair[0].ordinal)[0], frontier
+        best = current[0][0]
+        if len(current) > 1:
+            for node, _ in current:
+                if node.ordinal < best.ordinal:
+                    best = node
+        return best, frontier
 
 
 # -- constructors ------------------------------------------------------

@@ -31,9 +31,45 @@ from clp.codec import (
 from clp.dictionary import LevelConfig, init_practical
 from clp.errors import BadMagic, CorruptStream, UnsupportedVersion
 from clp.matching import MatchRelation, hamming_distance
+from clp.rd_math import SourceModel
 
 
 # -- bit-level I/O -------------------------------------------------------
+
+
+class _RefWriter:
+    """BitWriter's contract one bit at a time: a list of 0s and 1s."""
+
+    def __init__(self):
+        self.bits = []
+
+    def write(self, value, nbits):
+        self.bits.extend((value >> (nbits - 1 - i)) & 1 for i in range(nbits))
+
+    def write_trunc(self, value, bound):
+        if bound <= 1:
+            return
+        short = bound.bit_length() - 1
+        spare = (1 << (short + 1)) - bound
+        if value < spare:
+            self.write(value, short)
+        else:
+            self.write(value + spare, short + 1)
+
+    def getvalue(self):
+        padded = self.bits + [0] * (-len(self.bits) % 8)
+        return bytes(int("".join(map(str, padded[i:i + 8])), 2)
+                     for i in range(0, len(padded), 8))
+
+
+@st.composite
+def _writes(draw):
+    """One ("write", value, width) or ("write_trunc", value, bound) call."""
+    if draw(st.booleans()):
+        nbits = draw(st.integers(min_value=0, max_value=200))
+        return "write", draw(st.integers(min_value=0, max_value=(1 << nbits) - 1)), nbits
+    bound = draw(st.integers(min_value=1, max_value=1 << 70))
+    return "write_trunc", draw(st.integers(min_value=0, max_value=bound - 1)), bound
 
 
 class TestBitIO:
@@ -58,6 +94,15 @@ class TestBitIO:
             w.write(v, nb)
         r = BitReader(w.getvalue())
         assert [r.read(nb) for nb in widths] == values
+
+    @given(st.lists(_writes(), max_size=30))
+    def test_writer_matches_bit_by_bit_reference(self, ops):
+        w, ref = BitWriter(), _RefWriter()
+        for op, value, arg in ops:
+            getattr(w, op)(value, arg)
+            getattr(ref, op)(value, arg)
+        assert w.bit_length == len(ref.bits)
+        assert w.getvalue() == ref.getvalue()
 
     def test_read_past_end_is_corrupt(self):
         r = BitReader(b"\xff")
@@ -397,14 +442,44 @@ class TestIdealizedCoder:
             assert res.stats.distortion == hamming_distance(x, res.y)
 
     def test_stats_agree_with_events(self):
+        # the counters are taken from the finished parse, not per phrase:
+        # check them against the events with the source known and
+        # unknown, under computed and capped level sizes
         rng = np.random.default_rng(34)
         x = bernoulli(rng, 640, 0.5)
-        res = encode_idealized(x, Fraction(1, 4), src=Fraction(1, 2),
-                               cfg=self.cfg(640))
-        assert res.stats.phrases == len(res.events)
-        assert res.stats.escapes == sum(e.kind == "escape" for e in res.events)
-        assert res.stats.give_ups == 0
-        assert sum(len(e.y_bits) for e in res.events) == 640
+        for src in (Fraction(1, 2), None):
+            for sizes in (None, {1: 3, 2: 5, 3: 7}):
+                cfg = LevelConfig(ell=2, horizon_n=640, level_sizes=sizes)
+                res = encode_idealized(x, Fraction(1, 4), src=src, cfg=cfg)
+                events = list(res.events)
+                assert res.stats.phrases == len(events)
+                assert res.stats.escapes == sum(e.kind == "escape" for e in events)
+                assert res.stats.distortion == sum(e.distortion for e in events)
+                assert res.stats.distortion == hamming_distance(x, res.y)
+                assert res.stats.give_ups == 0
+                assert sum(len(e.y_bits) for e in events) == 640
+
+    def test_unknown_source_estimates_only_to_freeze_caps(self, monkeypatch):
+        # with p unknown, a cap is sized for y's bias so far; that
+        # estimate is built only when a cap is about to freeze, in
+        # encode and decode alike, not once per phrase
+        built = []
+
+        class Counting(SourceModel):
+            def __post_init__(self):
+                built.append(self.p)
+                super().__post_init__()
+
+        monkeypatch.setattr(codec, "SourceModel", Counting)
+        for n in (1000, 4099):
+            x = bernoulli(np.random.Generator(np.random.Philox(n)), n, 0.3)
+            built.clear()
+            res = encode_idealized(x, Fraction(11, 100))
+            caps = len(res.stats.tree.caps)
+            assert 1 <= len(built) <= caps < res.stats.phrases
+            built.clear()
+            assert decode(res.stream) == res.y
+            assert 1 <= len(built) <= caps
 
     def test_flooded_frontier_gives_up_and_escapes(self):
         # D = 1 at ell = 1: both level-1 codelets match every window, and

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from clp import dictionary
 from clp.bits import BitSequence
 from clp.dictionary import (
     CodebookTree,
@@ -51,6 +52,28 @@ def test_target_reproduction_type():
     assert target_reproduction_type(Fraction(1, 3), Fraction(1, 2)) == 0
     assert target_reproduction_type(Fraction(2, 3), Fraction(1, 2)) == 1
     assert target_reproduction_type(Fraction(1, 2), Fraction(1, 2)) == Fraction(1, 2)
+
+
+def test_level_size_is_cached_across_dictionaries(monkeypatch):
+    # check_symmetry and other harness loops grow many dictionaries with
+    # one (ell, p, D): only the first computes match probabilities
+    calls = []
+    real = dictionary.match_probability_exact
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(dictionary, "match_probability_exact", counting)
+    dictionary._level_size.cache_clear()
+    cfg, p, d = LevelConfig(ell=3), Fraction(2, 5), Fraction(3, 29)
+    first = idealized_build_init(cfg, d)
+    caps = [first.cap(level, p) for level in (1, 2, 3)]
+    assert len(calls) == 3
+    second = idealized_build_init(cfg, d)
+    assert [second.cap(level, p) for level in (1, 2, 3)] == caps
+    assert second.caps == first.caps
+    assert len(calls) == 3
 
 
 def test_level_size_frozen_values():
