@@ -465,6 +465,7 @@ class PracticalResult(NamedTuple):
     y: BitSequence
     stream: EncodedStream
     events: Sequence[ParseEvent]
+    stats: EncodeStats  # tree stays None: a held result does not keep the trie
 
 
 class IdealizedResult(NamedTuple):
@@ -488,36 +489,50 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
     and ties go to the longer codelet, then the lexicographically
     smaller one.  Feasibility and exact zeros are decided in integer
     arithmetic so formatting noise cannot flip them.
+
+    A lone candidate is returned unscored.  A score depends only on the
+    candidate's (ones, depth), so each distinct pair is scored once per
+    call.  Two codelets of one length first differ at the lowest set
+    bit of bits_a ^ bits_b, and the one holding 0 there is the
+    lexicographically smaller; equal bits keep the earlier candidate.
     """
     if not matches:
         raise EmptyMatchSet("no candidates to select from")
+    if len(matches) == 1:
+        return matches[0]
     db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
     dn, dd = db.num, db.den
+    d = dn / dd
     wval = window.value
+    scores: Dict[Tuple[int, int], float] = {}
     best = None
     best_score = None
     best_len = 0
     for m in matches:
         L = m.depth
-        ones_q, len_q = m.ones, L
-        ones_p = parsed_ones + (wval & ((1 << L) - 1)).bit_count()
-        len_p = parsed_len + L
-        cross = ones_p * len_q - ones_q * len_p
-        if abs(cross) * dd > dn * len_p * len_q:
-            score = float("inf")
-        elif (ones_p * len_q + ones_q * len_p - 2 * ones_p * ones_q) * dd <= dn * len_p * len_q:
-            score = 0.0
-        else:
-            score = lower_mutual_info_float(ones_q / len_q, ones_p / len_p, dn / dd)
+        ones_q = m.ones
+        score = scores.get((ones_q, L))
+        if score is None:
+            ones_p = parsed_ones + (wval & ((1 << L) - 1)).bit_count()
+            len_p = parsed_len + L
+            cross = ones_p * L - ones_q * len_p
+            if abs(cross) * dd > dn * len_p * L:
+                score = float("inf")
+            elif (ones_p * L + ones_q * len_p - 2 * ones_p * ones_q) * dd <= dn * len_p * L:
+                score = 0.0
+            else:
+                score = lower_mutual_info_float(ones_q / L, ones_p / len_p, d)
+            scores[ones_q, L] = score
         if best is None:
             best, best_score, best_len = m, score, L
             continue
-        tie = (score == best_score) or abs(score - best_score) <= _TIE_TOL
-        if tie:
-            # distinct leaves of one length differ in bits, so their
-            # lex keys differ: the key is needed only at equal length
-            if L > best_len or (L == best_len and lex_key(m.bits, L) < lex_key(best.bits, L)):
+        if score == best_score or abs(score - best_score) <= _TIE_TOL:
+            if L > best_len:
                 best, best_score, best_len = m, min(score, best_score), L
+            elif L == best_len:
+                diff = m.bits ^ best.bits
+                if diff and not m.bits & diff & -diff:  # m holds 0 where they first differ
+                    best, best_score = m, min(score, best_score)
         elif score < best_score:
             best, best_score, best_len = m, score, L
     return best
@@ -531,39 +546,44 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     Escapes happen only when no codelet fits in the remaining suffix,
     which confines them to the tail.  The payload is the lossless LZ78
     code of the reconstruction, so the decoder never needs the trie.
+    The stats count phrases, escapes and hamming(x, y) once the parse
+    is done; the trie is not kept in them.
     """
     db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
     n = x.length
     tree = init_practical(db)
     rows: List[_Row] = []
     parts: List[Tuple[int, int]] = []
+    add_row, add_part = rows.append, parts.append
+    window_of, root = x.window, tree.root
+    find_matches, extend_codelet, select = tree.find_matches, tree.extend_codelet, select_codelet
     pos = 0
     parsed_ones = 0
     while pos < n:
         rem = n - pos
-        width = min(rem, tree.root.max_leaf_depth)
-        window = BitSequence(x.window(pos, width), width)
-        matches = tree.find_matches(window, relation)
+        width = min(rem, root.max_leaf_depth)
+        window = BitSequence(window_of(pos, width), width)
+        matches = find_matches(window, relation)
         if not matches:
-            tail = x.window(pos, rem)
-            parts.append((tail, rem))
-            rows.append(("escape", pos, rem, tail, tail, 0, None, None))
-            pos = n
+            tail = window_of(pos, rem)
+            add_part((tail, rem))
+            add_row(("escape", pos, rem, tail, tail, 0, None, None))
             break
-        chosen = select_codelet(matches, window, parsed_ones, pos, db)
-        L = chosen.depth
+        chosen = select(matches, window, parsed_ones, pos, db)
+        L, bits = chosen.depth, chosen.bits
         xseg = window.value & ((1 << L) - 1)  # a leaf is never longer than the window
-        d_inc = (xseg ^ chosen.bits).bit_count()
-        parts.append((chosen.bits, L))
-        rows.append(("codelet", pos, L, xseg, chosen.bits, d_inc, None, None))
-        tree.extend_codelet(chosen)
+        add_part((bits, L))
+        add_row(("codelet", pos, L, xseg, bits, (xseg ^ bits).bit_count(), None, None))
+        extend_codelet(chosen)
         parsed_ones += xseg.bit_count()
         pos += L
     y = concat_bits(parts)
+    stats = EncodeStats(phrases=len(rows), escapes=[row[0] for row in rows].count("escape"),
+                        distortion=hamming_distance(x, y))
     payload, nbits = lz78_encode(y)
     header = Header.build(n=n, dist=db, src=src, ell=0,
                           variant=VARIANT_PRACTICAL, relation=relation)
-    return PracticalResult(y, EncodedStream(header, payload, nbits), _EventLog(rows))
+    return PracticalResult(y, EncodedStream(header, payload, nbits), _EventLog(rows), stats)
 
 
 # -- idealized coder ------------------------------------------------------

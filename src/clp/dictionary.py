@@ -119,14 +119,23 @@ def _level_size(L: int, p: Fraction, d: Fraction) -> int:
 
 
 class PracticalNode:
-    __slots__ = ("bits", "depth", "children", "max_leaf_depth", "ones")
+    """A trie node; a leaf is a current codelet.
 
-    def __init__(self, bits: int, depth: int):
+    max_leaf_depth is the depth of the deepest leaf in the node's
+    subtree, and budget = floor(D * max_leaf_depth) the most mismatches
+    any leaf below it may carry, so find_matches prunes with one
+    integer comparison.  The tree sets both (see extend_codelet).
+    """
+
+    __slots__ = ("bits", "depth", "children", "max_leaf_depth", "ones", "budget")
+
+    def __init__(self, bits: int, depth: int, budget: int):
         self.bits = bits
         self.depth = depth
         self.children: Optional[List["PracticalNode"]] = None
         self.max_leaf_depth = depth
         self.ones = bits.bit_count()
+        self.budget = budget
 
     @property
     def is_leaf(self) -> bool:
@@ -213,8 +222,9 @@ class CodebookTree:
         self._dn = self.dist.num
         self._dd = self.dist.den
         if variant == "practical":
-            self.root = PracticalNode(0, 0)
-            self.root.children = [PracticalNode(0, 1), PracticalNode(1, 1)]
+            budget = self._dn // self._dd  # floor(D * 1)
+            self.root = PracticalNode(0, 0, budget)
+            self.root.children = [PracticalNode(0, 1, budget), PracticalNode(1, 1, budget)]
             self.root.max_leaf_depth = 1
             self.leaf_count = 2
         elif variant == "idealized":
@@ -255,69 +265,100 @@ class CodebookTree:
     def find_matches(self, window: BitSequence, relation: MatchRelation) -> List[PracticalNode]:
         """Leaves matching a prefix of the window, depth at most its length.
 
-        Full-codelet search prunes a subtree once the running mismatch
-        count exceeds the budget of its deepest eligible leaf; the
-        prefix-wise search prunes on the first violated prefix.  The
-        walk relies on extend_codelet building children = [c0, c1]:
-        child i carries bit i at depth node.depth, so stepping to it
-        adds bit ^ i mismatches.  Children are pushed c0 then c1, and
-        the list comes out in that stack order, which select_codelet's
-        tie rule may depend on.
+        One walk serves both relations; only the test that keeps a child
+        differs.  Full-codelet search keeps a child while its running
+        mismatch count m is within both child.budget and
+        floor(D * len(window)): since floor(D * min(a, b)) is
+        min(floor(D * a), floor(D * b)), that is the budget of
+        min(deepest leaf below the child, len(window)).  Prefix-wise
+        search keeps a child while m is within floor(D * child depth).
+        A leaf's own test is the one that kept it, so every leaf reached
+        is a match.  The walk relies on extend_codelet building
+        children = [c0, c1]: child i carries bit i at depth node.depth,
+        so stepping to it adds bit ^ i mismatches.
+
+        The order is that of a stack walk pushing c0 then c1 and popping
+        the top: select_codelet's tie rule may depend on it.  Since that
+        walk pops next the child it pushed last, this one descends
+        straight into c1 when kept (else c0), and stacks only a kept c0
+        whose sibling it entered first.
         """
         wlen = window.length
         if wlen == 0:
             return []
         wval = window.value
         dn, dd = self._dn, self._dd
+        wb = dn * wlen // dd
         prefix_wise = relation == MatchRelation.PREFIX_WISE
         out: List[PracticalNode] = []
-        stack = [(self.root, 0)]
+        append = out.append
+        stack: List[Tuple[PracticalNode, int]] = []
         pop, push = stack.pop, stack.append
-        while stack:
-            node, m = pop()
+        node, m = self.root, 0
+        while True:
             children = node.children
-            depth = node.depth
             if children is None:
-                if m * dd <= dn * depth:
-                    out.append(node)
-                continue
-            if depth >= wlen:
-                continue  # leaves below are longer than the window
-            bit = (wval >> depth) & 1
-            c0, c1 = children
-            m0, m1 = m + bit, m + (bit ^ 1)  # child i carries bit i
-            if prefix_wise:
-                limit = dn * (depth + 1)
-                if m0 * dd <= limit:
-                    push((c0, m0))
-                if m1 * dd <= limit:
-                    push((c1, m1))
+                append(node)
             else:
-                deepest = c0.max_leaf_depth
-                if m0 * dd <= dn * (deepest if deepest < wlen else wlen):
-                    push((c0, m0))
-                deepest = c1.max_leaf_depth
-                if m1 * dd <= dn * (deepest if deepest < wlen else wlen):
-                    push((c1, m1))
-        return out
+                depth = node.depth
+                if depth < wlen:  # else the leaves below outrun the window
+                    c0, c1 = children
+                    if prefix_wise:
+                        b0 = b1 = dn * (depth + 1) // dd
+                    else:
+                        b0, b1 = c0.budget, c1.budget
+                    # the child that agrees with the window keeps m, which
+                    # is within wb already; the other one adds a mismatch
+                    if (wval >> depth) & 1:
+                        m0 = m + 1
+                        if m <= b1:
+                            if m0 <= b0 and m0 <= wb:
+                                push((c0, m0))
+                            node = c1
+                            continue
+                        if m0 <= b0 and m0 <= wb:
+                            node, m = c0, m0
+                            continue
+                    else:
+                        m1 = m + 1
+                        if m1 <= b1 and m1 <= wb:
+                            if m <= b0:
+                                push((c0, m))
+                            node, m = c1, m1
+                            continue
+                        if m <= b0:
+                            node = c0
+                            continue
+            if not stack:
+                return out
+            node, m = pop()
 
     def extend_codelet(self, leaf: PracticalNode) -> Tuple[PracticalNode, PracticalNode]:
+        """Split a leaf into its two one-symbol extensions, c0 then c1.
+
+        The new leaves get budget floor(D * (depth + 1)), and every node
+        on the path from the root whose max_leaf_depth the split raises
+        gets the same budget with it.
+        """
         if leaf.children is not None:
             raise NotALeaf(f"{leaf!r} already has children")
         d = leaf.depth
-        c0 = PracticalNode(leaf.bits, d + 1)
-        c1 = PracticalNode(leaf.bits | (1 << d), d + 1)
+        d1 = d + 1
+        budget = self._dn * d1 // self._dd
+        c0 = PracticalNode(leaf.bits, d1, budget)
+        c1 = PracticalNode(leaf.bits | (1 << d), d1, budget)
         leaf.children = [c0, c1]
         self.leaf_count += 1
-        # refresh subtree depth bounds up the path
+        # refresh subtree depth bounds and budgets down the path
         node = self.root
-        if node.max_leaf_depth <= d:
-            node.max_leaf_depth = d + 1
+        bits = leaf.bits
         for i in range(d):
-            node = node.children[(leaf.bits >> i) & 1]
             if node.max_leaf_depth <= d:
-                node.max_leaf_depth = d + 1
-        leaf.max_leaf_depth = d + 1
+                node.max_leaf_depth = d1
+                node.budget = budget
+            node = node.children[(bits >> i) & 1]
+        leaf.max_leaf_depth = d1
+        leaf.budget = budget
         return c0, c1
 
     # -- idealized side ----------------------------------------------

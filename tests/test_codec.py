@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clp import codec
@@ -28,10 +28,10 @@ from clp.codec import (
     lz78_encode,
     select_codelet,
 )
-from clp.dictionary import LevelConfig, init_practical
+from clp.dictionary import LevelConfig, PracticalNode, init_practical, lex_key
 from clp.errors import BadMagic, CorruptStream, UnsupportedVersion
 from clp.matching import MatchRelation, hamming_distance
-from clp.rd_math import SourceModel
+from clp.rd_math import SourceModel, lower_mutual_info_float
 
 
 # -- bit-level I/O -------------------------------------------------------
@@ -402,6 +402,129 @@ class TestPracticalCoder:
         assert len(res.y) == 0
         assert decode(res.stream) == res.y
         assert coding_rate(res.stream) == 0.0
+
+    @pytest.mark.parametrize("relation", list(MatchRelation), ids=lambda r: r.name)
+    def test_stats_agree_with_events(self, relation):
+        rng = np.random.default_rng(25)
+        escapes = 0
+        for _ in range(12):
+            n = int(rng.integers(0, 900))
+            d = Fraction(int(rng.integers(0, 30)), 100)
+            x = bernoulli(rng, n, float(rng.uniform(0.1, 0.9)))
+            res = encode_practical(x, d, relation=relation)
+            events = list(res.events)
+            stats = res.stats
+            assert stats.phrases == len(events)
+            assert stats.escapes == sum(e.kind == "escape" for e in events)
+            assert stats.distortion == sum(e.distortion for e in events)
+            assert stats.distortion == hamming_distance(x, res.y)
+            # idealized-only counts stay zero, and the trie is not kept
+            assert (stats.give_ups, stats.promotions, stats.max_frontier) == (0, 0, {})
+            assert stats.tree is None
+            escapes += stats.escapes
+        assert escapes > 0
+
+
+# -- codelet choice ------------------------------------------------------
+
+
+def reference_select(matches, window, parsed_ones, parsed_len, dist):
+    """select_codelet's rule spelled out in exact arithmetic.
+
+    A candidate of depth L scores the least mutual information between
+    the type p of (parsed prefix + first L window bits) and its own type
+    q: infinity when |p - q| > D, 0.0 when p + q - 2pq <= D.  Scanning in
+    order, the least score wins; scores within 1e-12 tie, and a tie goes
+    to the longer codelet, then to the smaller lex_key.
+    """
+    d = Fraction(dist)
+    best = best_score = None
+    for node in matches:
+        L = node.depth
+        p = Fraction(parsed_ones + (window.value & ((1 << L) - 1)).bit_count(), parsed_len + L)
+        q = Fraction(node.ones, L)
+        if abs(p - q) > d:
+            score = float("inf")
+        elif p + q - 2 * p * q <= d:
+            score = 0.0
+        else:
+            score = lower_mutual_info_float(float(q), float(p), float(d))
+        if best is None:
+            best, best_score = node, score
+        elif score == best_score or abs(score - best_score) <= 1e-12:
+            if L > best.depth or (L == best.depth
+                                  and lex_key(node.bits, L) < lex_key(best.bits, L)):
+                best, best_score = node, min(score, best_score)
+        elif score < best_score:
+            best, best_score = node, score
+    return best
+
+
+def _candidates(*spelled):
+    return [PracticalNode(BitSequence.from_str(s).value, len(s), 0) for s in spelled]
+
+
+@st.composite
+def selections(draw):
+    """(candidates, window, parsed ones, parsed length, D) for select_codelet."""
+    wlen = draw(st.integers(1, 10))
+    window = BitSequence(draw(st.integers(0, (1 << wlen) - 1)), wlen)
+    codelet = st.integers(1, wlen).flatmap(
+        lambda L: st.tuples(st.integers(0, (1 << L) - 1), st.just(L)))
+    pairs = draw(st.lists(codelet, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a second node with the same bits
+        pairs.append(draw(st.sampled_from(pairs)))
+    parsed_len = draw(st.integers(0, 40))
+    parsed_ones = draw(st.integers(0, parsed_len))
+    dist = draw(st.sampled_from([Fraction(0), Fraction(1, 20), Fraction(11, 100),
+                                 Fraction(1, 4), Fraction(1, 2), Fraction(1)]))
+    return ([PracticalNode(bits, L, 0) for bits, L in pairs], window, parsed_ones,
+            parsed_len, dist)
+
+
+class TestSelectCodelet:
+    @settings(max_examples=300)
+    @given(selections())
+    @example((_candidates("1"), BitSequence.from_str("1"), 0, 0, Fraction(0)))  # lone
+    # equal length, both score 0.0: the lex-smaller "01" comes second
+    @example((_candidates("10", "01"), BitSequence.from_str("11"), 0, 0, Fraction(1, 2)))
+    # "0" is infeasible (inf), "1" scores 0.0
+    @example((_candidates("0", "1"), BitSequence.from_str("1"), 0, 0, Fraction(0)))
+    # all infinite: inf ties inf, so the longer one wins
+    @example((_candidates("0", "00"), BitSequence.from_str("11"), 0, 0, Fraction(0)))
+    # equal bits: the earlier node stays
+    @example((_candidates("01", "01", "1"), BitSequence.from_str("01"), 3, 7, Fraction(1, 4)))
+    def test_agrees_with_reference_rule(self, case):
+        matches, window, parsed_ones, parsed_len, dist = case
+        want = reference_select(matches, window, parsed_ones, parsed_len, dist)
+        assert select_codelet(matches, window, parsed_ones, parsed_len, dist) is want
+
+    @pytest.fixture
+    def scored(self, monkeypatch):
+        calls = []
+        real = codec.lower_mutual_info_float
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(codec, "lower_mutual_info_float", counting)
+        return calls
+
+    def test_lone_candidate_is_not_scored(self, scored):
+        (node,) = _candidates("0101")
+        assert select_codelet([node], BitSequence.from_str("10100101"), 5, 10,
+                              Fraction(1, 10)) is node
+        assert scored == []
+
+    def test_each_type_is_scored_once(self, scored):
+        # every candidate has half ones, as has the parsed prefix plus
+        # the window's first 4 or 8 bits: feasible, nonzero at D = 1/10
+        matches = _candidates("11110000", "1100", "00001111", "1010", "10101010", "0011")
+        window = BitSequence.from_str("10100101")
+        got = select_codelet(matches, window, 5, 10, Fraction(1, 10))
+        assert len(scored) == 2  # (4 ones, depth 8) and (2 ones, depth 4)
+        assert got is reference_select(matches, window, 5, 10, Fraction(1, 10))
 
 
 class TestIdealizedCoder:

@@ -5,6 +5,7 @@ leaf (practical) or every live codelet (idealized) with the match
 predicates from clp.matching.
 """
 
+import math
 import time
 from fractions import Fraction
 
@@ -159,6 +160,19 @@ class TestPracticalTrie:
         one = tree.root.children[1]
         assert one.max_leaf_depth == 6
         assert tree.root.children[0].max_leaf_depth == 1
+
+    @pytest.mark.parametrize("d", [0, Fraction(1, 20), Fraction(11, 100), Fraction(1, 3),
+                                   Fraction(1, 2), 1], ids=str)
+    def test_budget_is_floor_of_distortion_times_deepest_leaf(self, d):
+        rng = np.random.default_rng(31)
+        for trial in range(10):
+            tree = grow_random_trie(rng, int(rng.integers(0, 150)), d)
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                assert node.max_leaf_depth == deepest_leaf(node)
+                assert node.budget == math.floor(Fraction(d) * node.max_leaf_depth)
+                stack.extend(node.children or ())
 
     @pytest.mark.parametrize("relation", [MatchRelation.FULL_CODELET,
                                           MatchRelation.PREFIX_WISE])
