@@ -24,7 +24,6 @@ from .dictionary import (
     LevelConfig,
     default_step,
     level_size,
-    target_reproduction_type,
 )
 from .errors import (
     BadMagic,
@@ -62,6 +61,7 @@ from .rd_math import (
     mutual_information,
     optimal_reproduction_type,
     rate_distortion,
+    target_reproduction_type,
 )
 
 __version__ = "0.1.0"

@@ -25,11 +25,11 @@ from .codec import (
     encode_idealized,
     encode_practical,
 )
-from .dictionary import LevelConfig, default_step, target_reproduction_type
+from .dictionary import LevelConfig, default_step
 from .errors import CorruptStream, Infeasible
 from .harness import ExperimentConfig, LemmaReport, rate_sweep, run_checks
 from .matching import hamming_distance
-from .rd_math import lower_mutual_info, rate_distortion
+from .rd_math import lower_mutual_info, rate_distortion, target_reproduction_type
 
 __all__ = ["main", "build_parser"]
 

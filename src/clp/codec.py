@@ -152,12 +152,12 @@ class Header:
     def build(cls, n: int, dist, src=None, ell: int = 0,
               variant: int = VARIANT_PRACTICAL,
               relation: MatchRelation = MatchRelation.FULL_CODELET) -> "Header":
-        db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
+        db = DistortionBudget.of(dist)
         dn, dd = _u32_pair(db.d, "distortion")
         if src is None:
             pn, pd = 0, _P_UNKNOWN
         else:
-            sm = src if isinstance(src, SourceModel) else SourceModel.of(src)
+            sm = SourceModel.of(src)
             pn, pd = _u32_pair(sm.p, "source bias")
         return cls(n=n, d_num=dn, d_den=dd, p_num=pn, p_den=pd,
                    ell=ell, variant=variant, relation=int(relation))
@@ -500,7 +500,7 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
         raise EmptyMatchSet("no candidates to select from")
     if len(matches) == 1:
         return matches[0]
-    db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
+    db = DistortionBudget.of(dist)
     dn, dd = db.num, db.den
     d = dn / dd
     wval = window.value
@@ -549,7 +549,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     The stats count phrases, escapes and hamming(x, y) once the parse
     is done; the trie is not kept in them.
     """
-    db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
+    db = DistortionBudget.of(dist)
     n = x.length
     tree = init_practical(db)
     rows: List[_Row] = []
@@ -652,8 +652,8 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     extend the codelet used one phrase earlier to the next level.  A
     final sub-ell tail is escaped verbatim.
     """
-    db = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
-    sm = None if src is None else (src if isinstance(src, SourceModel) else SourceModel.of(src))
+    db = DistortionBudget.of(dist)
+    sm = None if src is None else SourceModel.of(src)
     n = x.length
     if cfg is None:
         cfg = LevelConfig(ell=default_step(n), horizon_n=n)

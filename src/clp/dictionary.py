@@ -33,7 +33,7 @@ from .matching import (
     canonical_type_sequence,
     match_probability_exact,
 )
-from .rd_math import DistortionBudget, SourceModel
+from .rd_math import DistortionBudget, SourceModel, target_reproduction_type
 
 __all__ = [
     "PracticalNode",
@@ -70,24 +70,6 @@ def default_step(n: int) -> int:
     return max(2, math.ceil(math.log2(math.log2(n))))
 
 
-def target_reproduction_type(src, dist) -> Fraction:
-    """Exact reproduction type used for canonical codelets.
-
-    (p - D)/(1 - 2D) clamped to [0, 1]; at D >= 1/2 the limit is taken,
-    which collapses to 0, 1/2 or 1 depending on which side p sits.
-    """
-    p = src.p if isinstance(src, SourceModel) else SourceModel.of(src).p
-    d = dist.d if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist).d
-    if d >= Fraction(1, 2):
-        if p > Fraction(1, 2):
-            return Fraction(1)
-        if p < Fraction(1, 2):
-            return Fraction(0)
-        return Fraction(1, 2)
-    q = (p - d) / (1 - 2 * d)
-    return min(max(q, Fraction(0)), Fraction(1))
-
-
 def level_size(L: int, src, dist) -> int:
     """Target codelet count at depth L: ceil(L^2 / p_L), exactly.
 
@@ -99,9 +81,7 @@ def level_size(L: int, src, dist) -> int:
     """
     if L <= 0:
         raise ValueError("depth must be positive")
-    p = src.p if isinstance(src, SourceModel) else SourceModel.of(src).p
-    d = dist.d if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist).d
-    return _level_size(L, p, d)
+    return _level_size(L, SourceModel.of(src).p, DistortionBudget.of(dist).d)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -218,7 +198,7 @@ class CodebookTree:
 
     def __init__(self, variant: str, dist, cfg: Optional[LevelConfig] = None):
         self.variant = variant
-        self.dist = dist if isinstance(dist, DistortionBudget) else DistortionBudget.of(dist)
+        self.dist = DistortionBudget.of(dist)
         self._dn = self.dist.num
         self._dd = self.dist.den
         if variant == "practical":

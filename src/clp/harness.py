@@ -25,7 +25,7 @@ from scipy.stats import chi2
 
 from .bits import BitSequence, bernoulli
 from .codec import coding_rate, encode_idealized
-from .dictionary import _MAX_STEP, LevelConfig, default_step, level_size, target_reproduction_type
+from .dictionary import _MAX_STEP, LevelConfig, default_step, level_size
 from .errors import ZeroRate
 from .matching import (
     ball_probability_exact,
@@ -34,7 +34,7 @@ from .matching import (
     match_probability_exact,
     matches_prefixwise,
 )
-from .rd_math import rate_distortion
+from .rd_math import DistortionBudget, SourceModel, rate_distortion, target_reproduction_type
 
 __all__ = [
     "ExperimentConfig",
@@ -102,10 +102,9 @@ class ExperimentConfig:
     depth: int = 4
 
     def __post_init__(self):
-        if not 0 <= self.p <= 1:
-            raise ValueError("p must lie in [0, 1]")
-        if not 0 <= self.dist <= 1:
-            raise ValueError("D must lie in [0, 1]")
+        # any accepted form of p and D is stored as its exact Fraction
+        object.__setattr__(self, "p", SourceModel.of(self.p).p)
+        object.__setattr__(self, "dist", DistortionBudget.of(self.dist).d)
         if not 0 <= self.ell <= _MAX_STEP:
             raise ValueError(f"ell must lie in [0, {_MAX_STEP}] (0 = auto)")
         if not 0.0 < self.delta <= 1.0:
@@ -281,12 +280,33 @@ def _ball_radius(dist: Fraction, length: int) -> int:
     return (dist.numerator * length) // dist.denominator
 
 
+def _level_cell(cfg: ExperimentConfig) -> Tuple[int, int, int, Fraction]:
+    """(ell, depth, level, q) of a level check, where depth must be a
+    whole number of levels and q is the target reproduction type."""
+    ell, depth = cfg.step, cfg.depth
+    if depth % ell:
+        raise ValueError("depth must be a whole number of levels")
+    return ell, depth, depth // ell, target_reproduction_type(cfg.p, cfg.dist)
+
+
+def _type_class(q: Fraction, length: int, unrealizable: str) -> List[int]:
+    """Every length-bit value with q * length ones, in increasing order;
+    raises ValueError(unrealizable) when q * length is not whole.  Each
+    check keeps its own message, since reports record what a check
+    raises."""
+    ones = q * length
+    if ones.denominator != 1:
+        raise ValueError(unrealizable)
+    return [v for v in range(1 << length) if v.bit_count() == ones.numerator]
+
+
 # -- checks ----------------------------------------------------------------
 
 
 def _match_count(cfg: ExperimentConfig, live, rng, t) -> int:
     x = bernoulli(rng, cfg.depth, float(cfg.p))
-    return sum(1 for y in live[t % cfg.build_count] if matches_prefixwise(x, y, cfg.dist))
+    db = DistortionBudget.of(cfg.dist)  # once per trial, not once per codelet
+    return sum(1 for y in live[t % cfg.build_count] if matches_prefixwise(x, y, db))
 
 
 def check_match_count_mean(cfg: ExperimentConfig) -> LemmaReport:
@@ -296,12 +316,7 @@ def check_match_count_mean(cfg: ExperimentConfig) -> LemmaReport:
     and compares the empirical mean of N with the realized live count
     times the exact per-codelet match probability.
     """
-    ell = cfg.step
-    depth = cfg.depth
-    if depth % ell:
-        raise ValueError("depth must be a whole number of levels")
-    level = depth // ell
-    q = target_reproduction_type(cfg.p, cfg.dist)
+    ell, depth, level, q = _level_cell(cfg)
     canon = canonical_type_sequence(depth, q)
     p_match = match_probability_exact(canon, cfg.dist, cfg.p)
     live = [levels[0] for levels in _grown_levels(cfg, 0, (level,))]
@@ -353,13 +368,8 @@ def check_match_count_second_moment(cfg: ExperimentConfig) -> LemmaReport:
     by the squared ratio of expected counts, with ball membership as
     the match event and exact ball probabilities in the ratio.
     """
-    ell = cfg.step
-    depth = cfg.depth
-    if depth % ell:
-        raise ValueError("depth must be a whole number of levels")
-    level = depth // ell
+    ell, depth, level, q = _level_cell(cfg)
     deeper = depth + ell
-    q = target_reproduction_type(cfg.p, cfg.dist)
     p_lo = ball_probability_exact(canonical_type_sequence(depth, q), cfg.dist, cfg.p)
     p_hi = ball_probability_exact(canonical_type_sequence(deeper, q), cfg.dist, cfg.p)
     grown = _grown_levels(cfg, 2, (level, level + 1))
@@ -400,13 +410,8 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
     frequency, M the realized live count, and p the exact ball
     probability.
     """
-    ell = cfg.step
-    depth = cfg.depth
-    if depth % ell:
-        raise ValueError("depth must be a whole number of levels")
-    level = depth // ell
+    ell, depth, level, q = _level_cell(cfg)
     deeper = depth + ell
-    q = target_reproduction_type(cfg.p, cfg.dist)
     p_lo = ball_probability_exact(canonical_type_sequence(depth, q), cfg.dist, cfg.p)
     grown = _grown_levels(cfg, 4, (level, level + 1))
     hit_lo: List[float] = []
@@ -452,11 +457,7 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     """
     ell = cfg.step
     q = target_reproduction_type(cfg.p, cfg.dist)
-    ones = q * ell
-    if ones.denominator != 1:
-        raise ValueError(f"type {q} is not realizable at length {ell}")
-    ones = int(ones)
-    members = [v for v in range(1 << ell) if bin(v).count("1") == ones]
+    members = _type_class(q, ell, f"type {q} is not realizable at length {ell}")
     if len(members) < 2:
         raise ValueError("type class too small for a uniformity test")
     cap = min(max(2, len(members) // 2), (1 << ell) - 1)
@@ -636,13 +637,9 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
     if full > 16:
         raise ValueError("cell too large for exhaustive enumeration")
     q = target_reproduction_type(cfg.p, cfg.dist)
-    ones_l = q * depth
-    ones_e = q * ell
-    if ones_l.denominator != 1 or ones_e.denominator != 1:
-        raise ValueError(f"type {q} not realizable at lengths {depth}, {ell}")
-    ones_l, ones_e = int(ones_l), int(ones_e)
-    centers = [v for v in range(1 << depth) if v.bit_count() == ones_l]
-    exts = [v for v in range(1 << ell) if v.bit_count() == ones_e]
+    unrealizable = f"type {q} not realizable at lengths {depth}, {ell}"
+    centers = _type_class(q, depth, unrealizable)
+    exts = _type_class(q, ell, unrealizable)
     r_lo = _ball_radius(cfg.dist, depth)
     r_hi = _ball_radius(cfg.dist, full)
 
@@ -754,10 +751,7 @@ def random_codebook_baseline(cfg: ExperimentConfig) -> LemmaReport:
     """
     depth = cfg.depth
     q = target_reproduction_type(cfg.p, cfg.dist)
-    ones = q * depth
-    if ones.denominator != 1:
-        raise ValueError(f"type {q} not realizable at length {depth}")
-    members = [v for v in range(1 << depth) if v.bit_count() == int(ones)]
+    members = _type_class(q, depth, f"type {q} not realizable at length {depth}")
     n_class = len(members)
     m_size = min(3, n_class)
     radius = _ball_radius(cfg.dist, depth)

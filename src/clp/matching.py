@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bits import BitSequence
 from .errors import LengthMismatch
-from .rd_math import DistortionBudget, SourceModel, TypeFraction
+from .rd_math import DistortionBudget, SourceModel, TypeFraction, as_fraction
 
 __all__ = [
     "MatchRelation",
@@ -52,15 +52,8 @@ def hamming_distance(x: BitSequence, y: BitSequence) -> int:
 
 
 def _rational(dist) -> tuple:
-    if isinstance(dist, DistortionBudget):
-        return dist.num, dist.den
-    f = dist if isinstance(dist, Fraction) else DistortionBudget.of(dist).d
-    return f.numerator, f.denominator
-
-
-def _source_pair(src) -> tuple:
-    p = src.p if isinstance(src, SourceModel) else SourceModel.of(src).p
-    return p.numerator, p.denominator
+    db = DistortionBudget.of(dist)
+    return db.num, db.den
 
 
 def matches_full(x: BitSequence, y: BitSequence, dist) -> bool:
@@ -106,7 +99,8 @@ def ball_probability_exact(y: BitSequence, dist, src) -> Fraction:
     if L == 0:
         raise ValueError("empty codelet")
     dn, dd = _rational(dist)
-    pn, pd = _source_pair(src)
+    p = SourceModel.of(src).p
+    pn, pd = p.numerator, p.denominator
     qn = pd - pn
     radius = (dn * L) // dd
     k = y.value.bit_count()
@@ -144,7 +138,8 @@ def match_probability_exact(y: BitSequence, dist, src) -> Fraction:
     if L == 0:
         raise ValueError("empty codelet")
     dn, dd = _rational(dist)
-    pn, pd = _source_pair(src)
+    p = SourceModel.of(src).p
+    pn, pd = p.numerator, p.denominator
     qn = pd - pn
     yv = y.value
     state = {0: 1}  # mismatches -> weight, scaled by pd**l
@@ -196,8 +191,7 @@ def canonical_type_sequence(L: int, q) -> BitSequence:
     """
     if L <= 0:
         raise ValueError("length must be positive")
-    qf = q if isinstance(q, Fraction) else Fraction(repr(float(q)))
-    k = int(qf * L + Fraction(1, 2))
+    k = int(as_fraction(q) * L + Fraction(1, 2))
     value = 0
     for i in range(L):
         if ((i + 1) * k) // L > (i * k) // L:

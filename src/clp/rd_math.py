@@ -9,6 +9,7 @@ and E[d(X,Y)] <= D.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -26,23 +27,30 @@ __all__ = [
     "lower_mutual_info",
     "lower_mutual_info_float",
     "optimal_reproduction_type",
+    "target_reproduction_type",
 ]
 
 _FEAS_EPS = 1e-12
 
-RationalLike = Union[Fraction, int, float, str, tuple]
+RationalLike = Union[numbers.Real, str, tuple]
 
 
 def as_fraction(x: RationalLike) -> Fraction:
-    """Coerce to an exact fraction; floats go through their shortest repr."""
+    """Coerce to an exact fraction; the one place a float becomes one.
+
+    Accepts a Fraction, an integer (numpy's too), a "n/d" string, an
+    (n, d) pair, or a real number (numpy's too), which is read through
+    the shortest repr of its float value, so 0.1 gives 1/10.  bool and
+    anything else raise TypeError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
         raise TypeError("bool is not a probability")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(repr(x))
+    if isinstance(x, numbers.Integral):
+        return Fraction(int(x))
+    if isinstance(x, numbers.Real):
+        return Fraction(repr(float(x)))
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, tuple) and len(x) == 2:
@@ -61,8 +69,10 @@ class SourceModel:
             raise ValueError("p must lie in [0, 1]")
 
     @classmethod
-    def of(cls, x: RationalLike) -> "SourceModel":
-        return cls(as_fraction(x))
+    def of(cls, x: Union["SourceModel", RationalLike]) -> "SourceModel":
+        """The one way to read p: a SourceModel comes back unchanged,
+        anything else goes through as_fraction and the [0, 1] check."""
+        return x if isinstance(x, cls) else cls(as_fraction(x))
 
     @property
     def value(self) -> float:
@@ -80,8 +90,11 @@ class DistortionBudget:
             raise ValueError("D must lie in [0, 1]")
 
     @classmethod
-    def of(cls, x: RationalLike) -> "DistortionBudget":
-        return cls(as_fraction(x))
+    def of(cls, x: Union["DistortionBudget", RationalLike]) -> "DistortionBudget":
+        """The one way to read D: a DistortionBudget comes back
+        unchanged, anything else goes through as_fraction and the
+        [0, 1] check."""
+        return x if isinstance(x, cls) else cls(as_fraction(x))
 
     @property
     def value(self) -> float:
@@ -145,14 +158,6 @@ class BinaryJoint:
         return self.p + self.q - 2.0 * self.a
 
 
-def _pval(src) -> float:
-    return src.value if isinstance(src, SourceModel) else float(src)
-
-
-def _dval(dist) -> float:
-    return dist.value if isinstance(dist, DistortionBudget) else float(dist)
-
-
 def binary_entropy(t: float) -> float:
     """h(t) in bits, with the 0 log 0 = 0 convention."""
     if not 0.0 <= t <= 1.0:
@@ -177,12 +182,8 @@ def mutual_information(joint: BinaryJoint) -> float:
 
 def rate_distortion(src, dist) -> float:
     """h(p) - h(D) when D < min(p, 1-p); zero once D reaches that point."""
-    p = _pval(src)
-    d = _dval(dist)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p outside [0, 1]")
-    if d < 0.0:
-        raise ValueError("negative distortion budget")
+    p = SourceModel.of(src).value
+    d = DistortionBudget.of(dist).value
     if d >= min(p, 1.0 - p):
         return 0.0
     return binary_entropy(p) - binary_entropy(d)
@@ -203,14 +204,9 @@ def lower_mutual_info(q, src, dist) -> float:
     at a = max(pq, (p+q-D)/2) clamped into the marginal bounds.
     Raises Infeasible when |p - q| > D, since E[d_H] >= |p - q|.
     """
-    qv = _pval(q) if isinstance(q, SourceModel) else float(q)
-    p = _pval(src)
-    d = _dval(dist)
-    for name, v in (("q", qv), ("p", p)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} outside [0, 1]")
-    if d < 0.0:
-        raise ValueError("negative distortion budget")
+    qv = SourceModel.of(q).value
+    p = SourceModel.of(src).value
+    d = DistortionBudget.of(dist).value
     if abs(p - qv) > d + _FEAS_EPS:
         raise Infeasible(f"|p - q| = {abs(p - qv):.6g} exceeds D = {d:.6g}")
     if p + qv - 2.0 * p * qv <= d + _FEAS_EPS:
@@ -235,15 +231,31 @@ def lower_mutual_info_float(q: float, p: float, d: float) -> float:
     return max(out, 0.0)
 
 
-def optimal_reproduction_type(src, dist) -> float:
-    """Reproduction marginal (p - D) / (1 - 2D), clamped to [0, 1].
+def target_reproduction_type(src, dist) -> Fraction:
+    """Exact reproduction type q = (p - D)/(1 - 2D), clamped to [0, 1].
 
-    Requires D < 1/2; the map degenerates at D = 1/2.
+    At D >= 1/2 the limit is taken, which collapses to 0, 1/2 or 1
+    depending on which side of 1/2 p sits.
     """
-    p = _pval(src)
-    d = _dval(dist)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p outside [0, 1]")
-    if not 0.0 <= d < 0.5:
+    p = SourceModel.of(src).p
+    d = DistortionBudget.of(dist).d
+    half = Fraction(1, 2)
+    if d >= half:
+        if p > half:
+            return Fraction(1)
+        if p < half:
+            return Fraction(0)
+        return half
+    return min(max((p - d) / (1 - 2 * d), Fraction(0)), Fraction(1))
+
+
+def optimal_reproduction_type(src, dist) -> float:
+    """target_reproduction_type as a float, for D < 1/2 only.
+
+    The map (p - D)/(1 - 2D) degenerates at D = 1/2, so D >= 1/2 raises
+    ValueError here instead of taking the limit.
+    """
+    db = DistortionBudget.of(dist)
+    if db.d >= Fraction(1, 2):
         raise ValueError("requires 0 <= D < 1/2")
-    return min(max((p - d) / (1.0 - 2.0 * d), 0.0), 1.0)
+    return float(target_reproduction_type(src, db))

@@ -8,7 +8,7 @@ closed form.  Slow; only the tests call it.
 import numpy as np
 
 from clp.errors import Infeasible
-from clp.rd_math import _FEAS_EPS, SourceModel, _dval, _feasible_interval, _pval
+from clp.rd_math import _FEAS_EPS, DistortionBudget, SourceModel, _feasible_interval
 
 
 def _np_plogp(c: np.ndarray) -> np.ndarray:
@@ -35,9 +35,9 @@ def _deriv_sign(a, p, q):
 def lower_mutual_info_oracle(q, src, dist, grid_points: int = 1 << 20) -> float:
     """Brute-force check of lower_mutual_info: dense grid over the free
     parameter plus bisection refinement on the derivative."""
-    qv = _pval(q) if isinstance(q, SourceModel) else float(q)
-    p = _pval(src)
-    d = _dval(dist)
+    qv = SourceModel.of(q).value
+    p = SourceModel.of(src).value
+    d = DistortionBudget.of(dist).value
     if abs(p - qv) > d + _FEAS_EPS:
         raise Infeasible(f"|p - q| = {abs(p - qv):.6g} exceeds D = {d:.6g}")
     lo, hi = _feasible_interval(qv, p, d)

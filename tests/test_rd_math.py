@@ -211,8 +211,12 @@ class TestWrapperTypes:
         assert as_fraction(0.25) == Fraction(1, 4)
         assert as_fraction((3, 12)) == Fraction(1, 4)
         assert as_fraction(1) == 1
+        assert as_fraction(np.float64(0.1)) == Fraction(1, 10)
+        assert as_fraction(np.int64(1)) == 1
         with pytest.raises(TypeError):
             as_fraction(True)
+        with pytest.raises(TypeError):
+            as_fraction(np.bool_(True))
         with pytest.raises(TypeError):
             as_fraction(object())
 
@@ -224,6 +228,13 @@ class TestWrapperTypes:
         assert SourceModel.of("1/3").value == pytest.approx(1 / 3)
         assert DistortionBudget.of("11/100").num == 11
         assert DistortionBudget.of("11/100").den == 100
+
+    def test_of_returns_its_own_instance(self):
+        sm, db = SourceModel(Fraction(1, 3)), DistortionBudget(Fraction(1, 10))
+        assert SourceModel.of(sm) is sm
+        assert DistortionBudget.of(db) is db
+        with pytest.raises(TypeError):
+            DistortionBudget.of(sm)
 
     def test_type_fraction(self):
         t = TypeFraction(ones=3, length=8)
