@@ -32,9 +32,10 @@ range of m values spends w = floor(log2 m) bits on the first
 2^(w+1) - m slot numbers and w + 1 bits on the rest, keeping the code
 prefix-free and complete.  Encoder and decoder run the same parse
 loop, _idealized_parse, and only that loop grows the dictionary, so
-the slot ranges stay in lockstep by construction.  Bit order inside
-the payload is most-significant-first per byte; raw source bits
-appear in source order.
+the slot ranges stay in lockstep by construction.  The encoder writes
+each record with one BitWriter.write.  Bit order inside the payload is
+most-significant-first per byte; raw source bits appear in source
+order.
 
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
@@ -595,8 +596,8 @@ def _estimate_src(y_ones: int, y_len: int) -> SourceModel:
 
 
 def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceModel],
-                     next_phrase) -> Tuple[BitSequence, int]:
-    """The parse loop both idealized sides run; returns (y, promotions).
+                     next_phrase) -> BitSequence:
+    """The parse loop both idealized sides run; returns y.
 
     next_phrase(pos, rem) handles one record, writing it or reading it,
     and returns the phrase's reconstruction bits, their count and the
@@ -620,7 +621,6 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     mask = (1 << ell) - 1
     pos = 0
     y_ones = 0
-    promotions = 0
     prev_node: Optional[LevelNode] = None
     while pos < n:
         seg, seglen, node = next_phrase(pos, n - pos)
@@ -629,12 +629,11 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
         pos += seglen
         if prev_node is not None and seglen >= ell:
             src = sm if known or prev_node.level + 1 in caps else _estimate_src(y_ones, pos)
-            if promote(prev_node, seg & mask, src) is not None:
-                promotions += 1
+            promote(prev_node, seg & mask, src)
         if node is None and seglen == ell:
             fill_level1(seg, sm if known or 1 in caps else _estimate_src(y_ones, pos))
         prev_node = node
-    return concat_bits(parts), promotions
+    return concat_bits(parts)
 
 
 @_no_cycle_gc
@@ -651,6 +650,12 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     matching its raw bits, and a phrase's first ell reconstruction bits
     extend the codelet used one phrase earlier to the next level.  A
     final sub-ell tail is escaped verbatim.
+
+    The phrase step calls no bit helper: it cuts each window from one
+    little-endian byte copy of x, and writes each record with a single
+    BitWriter.write in write_trunc's code (slot 0 is all zero bits, so
+    an escape's raw bits join it).  promotions and max_frontier are
+    read from the dictionary once the parse is done.
     """
     db = DistortionBudget.of(dist)
     sm = None if src is None else SourceModel.of(src)
@@ -664,45 +669,49 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     writer = BitWriter()
     rows: List[_Row] = []
     stats = EncodeStats(tree=tree)
-    max_frontier = stats.max_frontier
     add_row = rows.append
-    window_of, search = x.window, tree.search
-    write, write_trunc = writer.write, writer.write_trunc
+    search, write = tree.search, writer.write
     levels, admitted = tree.levels, tree.admitted
+    buf = x.value.to_bytes((n >> 3) + 1, "little")  # every window is read from here
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
         slot_bound = len(admitted) + 1
+        short = slot_bound.bit_length() - 1
         # levels always holds level 1, so the window spans at least ell
         # bits; a window shorter than ell matches nothing, so the tail
         # escapes
         width = min(rem, (len(levels) - 1) * ell)
-        window = window_of(pos, width)  # every phrase below fits inside it
-        best, frontier = search(window, width)
-        for lvl, size in frontier.sizes.items():
-            if size > max_frontier.get(lvl, 0):
-                max_frontier[lvl] = size
-        if frontier.give_up:
+        window = ((int.from_bytes(buf[pos >> 3:((pos + width) >> 3) + 1], "little")
+                   >> (pos & 7)) & ((1 << width) - 1))  # every phrase below fits inside it
+        best, give_up = search(window, width)
+        if give_up:
             stats.give_ups += 1
             best = None
         if best is None:
             seglen = min(rem, ell)
             seg = window & ((1 << seglen) - 1)
-            write_trunc(0, slot_bound)
-            write(lex_key(seg, seglen), seglen)  # MSB first = source order
+            write(lex_key(seg, seglen), short + seglen)  # MSB first = source order
             add_row(("escape", pos, seglen, seg, seg, 0, None, None))
             return seg, seglen, None
         level, bits = best.level, best.bits
         seglen = level * ell
-        write_trunc(best.ordinal + 1, slot_bound)
+        slot = best.ordinal + 1
+        spare = (2 << short) - slot_bound  # slots below spare take short bits
+        if slot < spare:
+            write(slot, short)
+        else:
+            write(slot + spare, short + 1)
         xseg = window & ((1 << seglen) - 1)
         add_row(("codelet", pos, seglen, xseg, bits, (xseg ^ bits).bit_count(),
                  level, best.ordinal))
         return bits, seglen, best
 
-    y, stats.promotions = _idealized_parse(n, ell, tree, sm, next_phrase)
-    # per-phrase totals, counted once from the finished parse
+    y = _idealized_parse(n, ell, tree, sm, next_phrase)
+    # totals counted once from the finished parse; only promote admits above level 1
     stats.phrases = len(rows)
     stats.escapes = [row[0] for row in rows].count("escape")
+    stats.promotions = len(admitted) - len(tree.level1)
+    stats.max_frontier = {lvl: size for lvl, size in enumerate(tree.widest) if size}
     stats.distortion = hamming_distance(x, y)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
@@ -734,7 +743,7 @@ def _decode_idealized(header: Header, payload: bytes,
             raise CorruptStream("codelet overruns the declared length")
         return node.bits, seglen, node
 
-    return _idealized_parse(header.n, ell, tree, header.src, next_phrase)[0]
+    return _idealized_parse(header.n, ell, tree, header.src, next_phrase)
 
 
 @_no_cycle_gc

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -39,7 +39,6 @@ __all__ = [
     "PracticalNode",
     "LevelNode",
     "LevelConfig",
-    "SearchFrontier",
     "CodebookTree",
     "init_practical",
     "level_size",
@@ -176,21 +175,16 @@ class LevelConfig:
             raise ValueError("level sizes must be positive")
 
 
-@dataclass
-class SearchFrontier:
-    """Per-level partial-match counts seen by one search."""
-
-    sizes: Dict[int, int] = field(default_factory=dict)
-    give_up: bool = False
-
-    def size(self, level: int) -> int:
-        return self.sizes.get(level, 0)
-
-
 # (steps, valid): steps[d] is the mismatch count after a segment whose
 # XOR against the window is d, or None when that breaks the budget;
 # valid lists the d that keep it, in increasing order
 _Continuation = Tuple[Tuple[Optional[int], ...], Tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=64)  # a table for ell = 16 holds 2^16 entries
+def _continuation_store(ell: int, d: Fraction, delta: float) -> dict:
+    """Continuation tables, shared by the dictionaries with this (ell, D, delta)."""
+    return {}
 
 
 class CodebookTree:
@@ -219,10 +213,11 @@ class CodebookTree:
             self.admitted: List[LevelNode] = []  # every codelet, admission order
             self.caps: Dict[int, int] = {}
             self._filled: set = set()  # windows fill_level1 has already walked
-            # per level k: the continuations from level k, indexed by
-            # entering mismatch count (None until first needed), and the
-            # frontier size at level k + 1 beyond which search gives up
-            self._continuation_cache: List[Tuple[List[Optional[_Continuation]], float]] = []
+            # widest[k]: the largest level-k frontier any search has seen
+            self.widest: List[int] = [0, 0]
+            # level k -> (continuations from level k by entering mismatch count,
+            # None until first needed; the widest level k + 1 frontier search accepts)
+            self._continuation_cache = _continuation_store(cfg.ell, self.dist.d, cfg.delta)
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -373,6 +368,7 @@ class CodebookTree:
         node = LevelNode(bits, level, len(admitted))
         if level == len(levels):
             levels.append([node])
+            self.widest.append(0)
         else:
             levels[level].append(node)
         admitted.append(node)
@@ -437,13 +433,9 @@ class CodebookTree:
         return node
 
     def _continuation_level(self, level: int) -> Tuple[List[Optional[_Continuation]], float]:
-        """The cache entry of a level, with those of all shallower ones."""
-        cache = self._continuation_cache
-        while len(cache) <= level:
-            k = len(cache)
-            cache.append(([None] * (k * self.ell + 1),
-                          ((k + 1) * self.ell) ** 4 / self.cfg.delta))
-        return cache[level]
+        """The store's entry for a level; setdefault keeps one if threads race."""
+        return self._continuation_cache.setdefault(
+            level, ([None] * (level * self.ell + 1), ((level + 1) * self.ell) ** 4 / self.cfg.delta))
 
     def _continuations(self, offset_levels: int, entering_mism: int) -> _Continuation:
         """Each ell-bit mismatch pattern continuing a match, if in budget.
@@ -451,8 +443,8 @@ class CodebookTree:
         Entry d answers: starting at depth offset_levels * ell with
         entering_mism mismatches, does appending a segment whose XOR
         against the window is d keep every prefix within budget, and
-        with how many mismatches?  The result is stored in
-        _continuation_cache, which search reads first.
+        with how many mismatches?  The result is stored in the shared
+        continuation store, which search reads first.
         """
         ell = self.ell
         base = offset_levels * ell
@@ -469,31 +461,38 @@ class CodebookTree:
         self._continuation_level(offset_levels)[0][entering_mism] = got
         return got
 
-    def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], SearchFrontier]:
+    def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], bool]:
         """Oldest of the deepest codelets prefix-wise matching the window.
 
+        Returns (best, give_up); best is None when no codelet matches.
         Builds the frontier of (codelet, mismatches) pairs level by
         level, starting from the never-admitted root whose children are
         level 1, down to depth floor(window_len / ell) levels.  Each
         frontier node probes only in-budget segments: it looks up each
         valid mismatch pattern among its children when there are fewer
         patterns than children, and otherwise checks each child against
-        the pattern table, built on the first miss of
-        _continuation_cache.  Sets give_up and stops descending when a
-        frontier outgrows (k * ell)^4 / delta.  The oldest node is the
-        one with the least ordinal; a one-node frontier is its own.
+        the pattern table, built on the first miss of the continuation
+        store.  Each level's frontier size raises widest[level] when it
+        is larger, so the widest frontiers of all searches are kept
+        without a record per call.  Sets give_up and stops descending
+        when a frontier outgrows (k * ell)^4 / delta.  The oldest node
+        is the one with the least ordinal; a one-node frontier is its
+        own.
         """
         ell = self.ell
         mask = (1 << ell) - 1
         cache = self._continuation_cache
-        frontier = SearchFrontier()
-        sizes = frontier.sizes
+        widest = self.widest
         current: List[Tuple[LevelNode, int]] = [(self.root, 0)]
         level = 0
         depth = window_len // ell  # levels the window can hold
+        give_up = False
         while level < depth:
             seg = (window_bits >> (level * ell)) & mask
-            by_mism, limit = cache[level] if level < len(cache) else self._continuation_level(level)
+            try:
+                by_mism, limit = cache[level]
+            except KeyError:  # no search of this store went this deep yet
+                by_mism, limit = self._continuation_level(level)
             nxt: List[Tuple[LevelNode, int]] = []
             for node, m in current:
                 children = node.children
@@ -517,18 +516,20 @@ class CodebookTree:
                 break
             level += 1
             current = nxt
-            size = sizes[level] = len(nxt)
+            size = len(nxt)
+            if size > widest[level]:  # a level-k frontier holds level-k codelets
+                widest[level] = size
             if size > limit:
-                frontier.give_up = True
+                give_up = True
                 break
         if level == 0:
-            return None, frontier
+            return None, give_up
         best = current[0][0]
         if len(current) > 1:
             for node, _ in current:
                 if node.ordinal < best.ordinal:
                     best = node
-        return best, frontier
+        return best, give_up
 
 
 # -- constructors ------------------------------------------------------

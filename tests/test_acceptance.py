@@ -302,18 +302,21 @@ def test_criterion_06_exhaustive_probability_and_search(capsys):
         for _ in range(10):
             wlen = int(rng.integers(1, 4 * ell + 2))
             window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-            got, frontier = tree.search(window.value, window.length)
+            tree.widest[:] = [0] * len(tree.widest)  # so it holds this search's sizes
+            got, give_up = tree.search(window.value, window.length)
+            sizes = {lvl: size for lvl, size in enumerate(tree.widest) if size}
             want = None
-            for level in range(tree.max_level(), 0, -1):
+            want_sizes = {}
+            for level in range(1, tree.max_level() + 1):
                 depth = level * tree.ell
                 if depth > window.length:
-                    continue
+                    break
                 live = [nd for nd in tree.levels[level]
                         if matches_prefixwise(window[:depth], nd.sequence(tree.ell), d)]
                 if live:
                     want = min(live, key=lambda nd: nd.ordinal)
-                    break
-            if frontier.give_up or got is not want:
+                    want_sizes[level] = len(live)
+            if give_up or got is not want or sizes != want_sizes:
                 bad_search += 1
             instance += 1
     if bad_search:

@@ -28,7 +28,14 @@ from clp.codec import (
     lz78_encode,
     select_codelet,
 )
-from clp.dictionary import LevelConfig, PracticalNode, init_practical, lex_key
+from clp.dictionary import (
+    LevelConfig,
+    PracticalNode,
+    default_step,
+    idealized_build_init,
+    init_practical,
+    lex_key,
+)
 from clp.errors import BadMagic, CorruptStream, UnsupportedVersion
 from clp.matching import MatchRelation, hamming_distance
 from clp.rd_math import SourceModel, lower_mutual_info_float
@@ -651,6 +658,82 @@ class TestIdealizedCoder:
         assert len(raw) > Header.SIZE + 8
         with pytest.raises(CorruptStream):
             decode(EncodedStream.from_bytes(raw[: Header.SIZE + 4]))
+
+
+def reference_idealized(x, dist, src, cfg):
+    """encode_idealized's parse with a phrase step built from public methods.
+
+    The step reads each window with BitSequence.window and writes each
+    slot with BitWriter.write_trunc, then the raw bits of an escape
+    with write; the dictionary grows in the shared _idealized_parse.
+    promote is wrapped to count the codelets it admits.  Returns y, the
+    payload, its bit length, the give-up count and the promotions.
+    """
+    n = x.length
+    ell = cfg.ell
+    tree = idealized_build_init(cfg, dist)
+    writer = BitWriter()
+    admitted = []
+    give_ups = 0
+    promote = tree.promote
+
+    def counted_promote(leaf, extension, src):
+        node = promote(leaf, extension, src)
+        admitted.append(node is not None)
+        return node
+
+    tree.promote = counted_promote
+
+    def step(pos, rem):
+        nonlocal give_ups
+        bound = len(tree.admitted) + 1
+        width = min(rem, tree.max_level() * ell)
+        window = x.window(pos, width)
+        best, give_up = tree.search(window, width)
+        if give_up:
+            give_ups += 1
+            best = None
+        if best is None:
+            seglen = min(rem, ell)
+            seg = window & ((1 << seglen) - 1)
+            writer.write_trunc(0, bound)
+            writer.write(lex_key(seg, seglen), seglen)
+            return seg, seglen, None
+        writer.write_trunc(best.ordinal + 1, bound)
+        return best.bits, best.level * ell, best
+
+    y = codec._idealized_parse(n, ell, tree, None if src is None else SourceModel.of(src), step)
+    return y, writer.getvalue(), writer.bit_length, give_ups, sum(admitted)
+
+
+class TestIdealizedPhraseStep:
+    def test_payload_matches_the_public_method_reference(self):
+        # the encoder reads windows from its own byte copy of x and
+        # writes each slot with one write call; both must spell the
+        # same bits as BitSequence.window and BitWriter.write_trunc
+        rng = np.random.default_rng(44)
+        cases = 0
+        for trial in range(10):
+            n = int(rng.integers(1, 1 << 14)) if trial else 1 << 14
+            x = bernoulli(rng, n, float(rng.uniform(0.2, 0.8)))
+            d = Fraction(int(rng.integers(0, 40)), 100)
+            configs = (
+                (d, LevelConfig(ell=default_step(n), horizon_n=n)),
+                (d, LevelConfig(ell=2, level_sizes={1: 3, 2: 5, 3: 7})),
+                (1, LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})),
+            )
+            for dist, cfg in configs:
+                for src in (Fraction(1, 2), None):
+                    res = encode_idealized(x, dist, src, cfg)
+                    y, payload, nbits, give_ups, promotions = reference_idealized(
+                        x, dist, src, cfg)
+                    case = (n, dist, cfg, src)
+                    assert res.stream.payload == payload, case
+                    assert res.stream.payload_bits == nbits, case
+                    assert res.y == y, case
+                    assert (res.stats.give_ups, res.stats.promotions) == (give_ups, promotions), case
+                    cases += 1
+        assert cases == 60
 
 
 # -- parse events --------------------------------------------------------

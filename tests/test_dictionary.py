@@ -6,6 +6,8 @@ predicates from clp.matching.
 """
 
 import math
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from clp import dictionary
-from clp.bits import BitSequence
+from clp.bits import BitSequence, bernoulli
 from clp.dictionary import (
     CodebookTree,
     LevelConfig,
@@ -24,7 +26,7 @@ from clp.dictionary import (
     lex_key,
     target_reproduction_type,
 )
-from clp.codec import VARIANT_IDEALIZED, Header, decode
+from clp.codec import VARIANT_IDEALIZED, Header, decode, encode_idealized
 from clp.errors import CorruptStream, NotALeaf
 from clp.matching import MatchRelation, matches_full, matches_prefixwise
 
@@ -334,6 +336,18 @@ def brute_deepest_match(tree: CodebookTree, window: BitSequence, dist):
     return None
 
 
+def search_widths(tree: CodebookTree, window: BitSequence):
+    """(best, give_up, per-level frontier sizes) of one search on its own.
+
+    The tree keeps only the widest frontier of each level over all its
+    searches, so the record is cleared first: afterwards it holds this
+    search's sizes, and a level the search never reached stays 0.
+    """
+    tree.widest[:] = [0] * len(tree.widest)
+    best, give_up = tree.search(window.value, window.length)
+    return best, give_up, {lvl: size for lvl, size in enumerate(tree.widest) if size}
+
+
 def brute_match_counts(tree: CodebookTree, window: BitSequence, dist):
     """Oracle: per level that has any, the count of prefix-wise matching codelets."""
     counts = {}
@@ -363,18 +377,18 @@ class TestIdealizedSearch:
                     for _ in range(12):
                         wlen = int(rng.integers(1, 4 * ell + 2))
                         window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
-                        got, frontier = tree.search(window.value, window.length)
+                        got, give_up, sizes = search_widths(tree, window)
                         case = (ell, d, trial, window.to01())
-                        assert not frontier.give_up, case
-                        assert frontier.sizes == brute_match_counts(tree, window, d), case
+                        assert not give_up, case
+                        assert sizes == brute_match_counts(tree, window, d), case
                         assert got is brute_deepest_match(tree, window, d), case
 
     def test_short_window_returns_nothing(self):
         tree = idealized_build_init(small_config(), QUARTER)
         tree.fill_level1(0, HALF)
         window = BitSequence.from_str("0")
-        best, frontier = tree.search(window.value, window.length)
-        assert best is None and not frontier.give_up
+        best, give_up = tree.search(window.value, window.length)
+        assert best is None and not give_up
 
     def test_tie_breaks_by_admission_order(self):
         tree = idealized_build_init(small_config(), 1)  # D = 1: everything matches
@@ -387,8 +401,21 @@ class TestIdealizedSearch:
         tree = idealized_build_init(small_config(), 1)
         tree.fill_level1(0, HALF)
         window = BitSequence.from_str("10")
-        _, frontier = tree.search(window.value, window.length)
-        assert frontier.size(1) == 4  # D = 1: all four level-1 codelets
+        assert search_widths(tree, window)[2] == {1: 4}  # D = 1: all four level-1 codelets
+
+    def test_widest_keeps_each_levels_maximum_over_searches(self):
+        tree = idealized_build_init(small_config(), 1)  # D = 1: everything matches
+        assert tree.widest == [0, 0]
+        tree.fill_level1(0, HALF)
+        tree.search(0b10, 2)
+        assert tree.widest == [0, 4]
+        tree.widest[1] = 7  # a wider past search is never lowered
+        tree.search(0b01, 2)
+        assert tree.widest == [0, 7]
+        tree.promote(tree.levels[1][0], 0b11, HALF)  # a new level gets its own entry
+        assert tree.widest == [0, 7, 0]
+        tree.search(0b0110, 4)
+        assert tree.widest == [0, 7, 1]
 
     def test_give_up_on_a_flooded_frontier(self):
         # D = 1 with huge caps: level-3 frontier has 64^3 = 262144 live
@@ -404,9 +431,78 @@ class TestIdealizedSearch:
             for ext in range(64):
                 tree.promote(node, ext, HALF)
         window = BitSequence.zeros(24)
-        _, frontier = tree.search(window.value, window.length)
-        assert frontier.give_up
-        assert frontier.size(3) == 262144
+        _, give_up, sizes = search_widths(tree, window)
+        assert give_up
+        assert sizes[3] == 262144
+
+
+class TestContinuationStore:
+    def test_dictionaries_with_one_key_share_tables(self, monkeypatch):
+        # a key no other test uses, so the store starts empty
+        d, delta = Fraction(2, 7), 0.37
+        first = idealized_build_init(small_config(ell=3, delta=delta), d)
+        second = idealized_build_init(small_config(ell=3, delta=delta, horizon_n=99), d)
+        assert first._continuation_cache is second._continuation_cache
+        for ell, dist, dlt in ((3, Fraction(2, 9), delta), (4, d, delta), (3, d, 0.5)):
+            other = idealized_build_init(small_config(ell=ell, delta=dlt), dist)
+            assert other._continuation_cache is not first._continuation_cache
+        for tree in (first, second):
+            tree.fill_level1(0b101, HALF)
+            tree.promote(tree.levels[1][0], 0b011, HALF)
+        window = BitSequence.from_str("101011")
+        want = first.search(window.value, window.length)
+        assert len(first._continuation_cache) == 2
+        # the second dictionary's search builds no table of its own
+
+        def unexpected(*args):
+            raise AssertionError("table rebuilt")
+
+        monkeypatch.setattr(CodebookTree, "_continuations", unexpected)
+        got = second.search(window.value, window.length)
+        assert (got[0].bits, got[0].level, got[1]) == (want[0].bits, want[0].level, want[1])
+
+    def test_threads_filling_one_store_encode_as_one_alone(self):
+        # more threads than cores, switching often, each round building
+        # the same store from empty: a level entry lost or doubled by a
+        # race would change a give-up limit or a table, and with it a
+        # stream
+        d = Fraction(1, 4)
+        cfg = small_config(ell=3, horizon_n=None)
+        rng = np.random.default_rng(45)
+        inputs = [bernoulli(rng, 1 << 11, 0.5) for _ in range(8)]
+        want = []
+        for x in inputs:
+            dictionary._continuation_store.cache_clear()
+            want.append(encode_idealized(x, d, HALF, cfg).stream.to_bytes())
+        got = [None] * len(inputs)
+
+        def run(i):
+            got[i] = encode_idealized(inputs[i], d, HALF, cfg).stream.to_bytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                dictionary._continuation_store.cache_clear()
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(len(inputs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                assert not any(t.is_alive() for t in threads)
+                assert got == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_decoding_builds_no_tables(self):
+        # only search fills the store, and the decoder never searches, so
+        # no stream, however hostile, can grow it
+        d = Fraction(3, 11)
+        x = BitSequence(0b1011_0010_1110_0101_0011_1010, 24)
+        res = encode_idealized(x, d, HALF, small_config(ell=3, horizon_n=24))
+        dictionary._continuation_store.cache_clear()
+        assert decode(res.stream.to_bytes(), small_config(ell=3, horizon_n=None)) == res.y
+        assert dictionary._continuation_store(3, d, 0.01) == {}
 
 
 class TestLevelConfigValidation:

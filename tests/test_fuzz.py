@@ -9,6 +9,7 @@ exactly when the decode it runs (default level config) is corrupt.
 
 import os
 import tempfile
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from clp.bits import bernoulli
 from clp.cli import EXIT_CORRUPT, EXIT_OK, main
-from clp.codec import Header, decode, encode_idealized, encode_practical
+from clp.codec import VARIANT_IDEALIZED, Header, decode, encode_idealized, encode_practical
 from clp.dictionary import LevelConfig
 from clp.errors import CorruptStream
 from clp.matching import MatchRelation
@@ -88,3 +89,20 @@ def test_mutated_stream_decodes_or_is_corrupt(case):
     assert got is None or got == Header.unpack(data).n
     default = got if cfg is None else _decoded_length(data)
     assert _cli_decode(data) == (EXIT_CORRUPT if default is None else EXIT_OK)
+
+
+def test_idealized_streams_cut_at_every_byte():
+    # every prefix of both idealized streams, from the empty string to
+    # the whole stream: a cut inside the header and a cut inside the
+    # payload must each end in CorruptStream or a full-length y
+    idealized = [(raw, cfg) for raw, cfg in STREAMS
+                 if Header.unpack(raw).variant == VARIANT_IDEALIZED]
+    assert len(idealized) == 2
+    start = time.process_time()
+    for raw, cfg in idealized:
+        n = Header.unpack(raw).n
+        for end in range(len(raw) + 1):
+            got = _decoded_length(raw[:end], cfg)
+            assert got is None or got == n, end
+        assert got == n  # the last cut is the whole stream
+    assert time.process_time() - start < 1.0

@@ -2,12 +2,15 @@
 
 import csv
 import dataclasses
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
 import clp.harness as harness
+from clp import dictionary
 from clp.dictionary import default_step
 from clp.errors import ZeroRate
 from clp.harness import (
@@ -251,6 +254,31 @@ class TestWorkers:
             pooled = dataclasses.replace(cfg, workers=2)
             assert list(_check_records(pooled)) == list(_check_records(cfg))
             assert _sweep_rows(pooled) == _sweep_rows(cfg)
+
+    def test_idealized_checks_keep_their_reports(self, monkeypatch):
+        # digests of reports taken before dictionaries shared their
+        # continuation tables; each must hold with the shared store
+        # empty and again once the serial run has filled it, serially
+        # and on a pool
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        cases = (
+            (check_symmetry, ExperimentConfig(ell=4, trials=200, seed=13),
+             "48e723b700a4ed5723d55c3e8cfa76cd2ad2109950a1ab03748e73a7bbb6503f"),
+            (check_symmetry, ExperimentConfig(ell=6, dist=Fraction(11, 100), trials=40, seed=13),
+             "547c38fdec1e41d47e4f77955848636476d6fa57c3605b99c85b0d2f2b79b1fa"),
+            (check_frontier_growth,
+             ExperimentConfig(ell=6, dist=Fraction(11, 100), delta=0.5, trials=40, seed=13,
+                              n_values=(4096,)),
+             "72ef19f732ffdbf9416a6fe1e7b2b0137e80ff992d4b52ea4371135079fe9a40"),
+            (check_frontier_growth, ExperimentConfig(trials=30, seed=13, n_values=(8192,)),
+             "59c934498089032e12622294905f006d2a4e84451ee518c294ae6f5ed182fde1"),
+        )
+        dictionary._continuation_store.cache_clear()
+        for workers in (1, 2):
+            for check, cfg, want in cases:
+                report = check(dataclasses.replace(cfg, workers=workers))
+                text = json.dumps(dataclasses.asdict(report), sort_keys=True, default=str)
+                assert hashlib.sha256(text.encode()).hexdigest() == want, (check, cfg)
 
     @pytest.mark.parametrize("cores, trials, started", [
         (64, 3, [3]),      # one process per trial at most
