@@ -32,10 +32,9 @@ range of m values spends w = floor(log2 m) bits on the first
 2^(w+1) - m slot numbers and w + 1 bits on the rest, keeping the code
 prefix-free and complete.  Encoder and decoder run the same parse
 loop, _idealized_parse, and only that loop grows the dictionary, so
-the slot ranges stay in lockstep by construction.  The encoder writes
-each record with one BitWriter.write.  Bit order inside the payload is
-most-significant-first per byte; raw source bits appear in source
-order.
+the slot ranges stay in lockstep by construction.  Bit order inside
+the payload is most-significant-first per byte; raw source bits
+appear in source order.
 
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
@@ -651,10 +650,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     extend the codelet used one phrase earlier to the next level.  A
     final sub-ell tail is escaped verbatim.
 
-    The phrase step calls no bit helper: it cuts each window from one
-    little-endian byte copy of x, and writes each record with a single
-    BitWriter.write in write_trunc's code (slot 0 is all zero bits, so
-    an escape's raw bits join it).  promotions and max_frontier are
+    promotions and max_frontier are not counted per phrase; they are
     read from the dictionary once the parse is done.
     """
     db = DistortionBudget.of(dist)
@@ -670,19 +666,17 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     rows: List[_Row] = []
     stats = EncodeStats(tree=tree)
     add_row = rows.append
-    search, write = tree.search, writer.write
+    window_of, search = x.window, tree.search
+    write, write_trunc = writer.write, writer.write_trunc
     levels, admitted = tree.levels, tree.admitted
-    buf = x.value.to_bytes((n >> 3) + 1, "little")  # every window is read from here
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
         slot_bound = len(admitted) + 1
-        short = slot_bound.bit_length() - 1
         # levels always holds level 1, so the window spans at least ell
         # bits; a window shorter than ell matches nothing, so the tail
         # escapes
         width = min(rem, (len(levels) - 1) * ell)
-        window = ((int.from_bytes(buf[pos >> 3:((pos + width) >> 3) + 1], "little")
-                   >> (pos & 7)) & ((1 << width) - 1))  # every phrase below fits inside it
+        window = window_of(pos, width)  # every phrase below fits inside it
         best, give_up = search(window, width)
         if give_up:
             stats.give_ups += 1
@@ -690,17 +684,13 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
         if best is None:
             seglen = min(rem, ell)
             seg = window & ((1 << seglen) - 1)
-            write(lex_key(seg, seglen), short + seglen)  # MSB first = source order
+            write_trunc(0, slot_bound)
+            write(lex_key(seg, seglen), seglen)  # MSB first = source order
             add_row(("escape", pos, seglen, seg, seg, 0, None, None))
             return seg, seglen, None
         level, bits = best.level, best.bits
         seglen = level * ell
-        slot = best.ordinal + 1
-        spare = (2 << short) - slot_bound  # slots below spare take short bits
-        if slot < spare:
-            write(slot, short)
-        else:
-            write(slot + spare, short + 1)
+        write_trunc(best.ordinal + 1, slot_bound)
         xseg = window & ((1 << seglen) - 1)
         add_row(("codelet", pos, seglen, xseg, bits, (xseg ^ bits).bit_count(),
                  level, best.ordinal))

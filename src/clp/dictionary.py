@@ -181,7 +181,9 @@ class LevelConfig:
 _Continuation = Tuple[Tuple[Optional[int], ...], Tuple[int, ...]]
 
 
-@functools.lru_cache(maxsize=64)  # a table for ell = 16 holds 2^16 entries
+# a lemma check uses one or two keys; a table holds 2^ell entries and
+# outlives its dictionaries, so only the most recent keys are kept
+@functools.lru_cache(maxsize=8)
 def _continuation_store(ell: int, d: Fraction, delta: float) -> dict:
     """Continuation tables, shared by the dictionaries with this (ell, D, delta)."""
     return {}
@@ -215,9 +217,10 @@ class CodebookTree:
             self._filled: set = set()  # windows fill_level1 has already walked
             # widest[k]: the largest level-k frontier any search has seen
             self.widest: List[int] = [0, 0]
-            # level k -> (continuations from level k by entering mismatch count,
-            # None until first needed; the widest level k + 1 frontier search accepts)
-            self._continuation_cache = _continuation_store(cfg.ell, self.dist.d, cfg.delta)
+            # the shared store, fetched by the first search: level k ->
+            # (continuations from level k by entering mismatch count, None
+            # until first needed; the widest level k + 1 frontier search accepts)
+            self._continuation_cache: Optional[dict] = None
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -482,6 +485,8 @@ class CodebookTree:
         ell = self.ell
         mask = (1 << ell) - 1
         cache = self._continuation_cache
+        if cache is None:  # only search reaches the store, so decoding never fills it
+            cache = self._continuation_cache = _continuation_store(ell, self.dist.d, self.cfg.delta)
         widest = self.widest
         current: List[Tuple[LevelNode, int]] = [(self.root, 0)]
         level = 0

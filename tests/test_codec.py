@@ -708,9 +708,9 @@ def reference_idealized(x, dist, src, cfg):
 
 class TestIdealizedPhraseStep:
     def test_payload_matches_the_public_method_reference(self):
-        # the encoder reads windows from its own byte copy of x and
-        # writes each slot with one write call; both must spell the
-        # same bits as BitSequence.window and BitWriter.write_trunc
+        # the encoder counts promotions and give-ups from the finished
+        # parse and the dictionary; a step that counts each admission as
+        # it happens must agree, and must write the same payload
         rng = np.random.default_rng(44)
         cases = 0
         for trial in range(10):
