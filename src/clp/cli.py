@@ -117,7 +117,7 @@ def _cmd_encode(args) -> int:
         stream, y = result.stream, result.y
     else:
         ell = args.ell if args.ell >= 1 else default_step(x.length)
-        cfg = LevelConfig(ell=ell, horizon_n=x.length, delta=args.delta)
+        cfg = LevelConfig(ell=ell, delta=args.delta)
         result = encode_idealized(x, args.distortion, args.p, cfg)
         stream, y = result.stream, result.y
     blob = stream.to_bytes()

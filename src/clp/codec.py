@@ -657,9 +657,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     sm = None if src is None else SourceModel.of(src)
     n = x.length
     if cfg is None:
-        cfg = LevelConfig(ell=default_step(n), horizon_n=n)
-    elif cfg.horizon_n is not None and cfg.horizon_n != n:
-        raise ValueError(f"config horizon {cfg.horizon_n} but input has {n} symbols")
+        cfg = LevelConfig(ell=default_step(n))
     ell = cfg.ell
     tree = idealized_build_init(cfg, db)
     writer = BitWriter()

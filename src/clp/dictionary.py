@@ -153,14 +153,11 @@ class LevelNode:
 class LevelConfig:
     """Shape of the idealized dictionary.
 
-    horizon_n pins the input length the config was built for (the
-    idealized coder knows its horizon up front).  level_sizes, when
-    given, overrides the computed per-level target (keyed by level
-    number, 1 for depth ell); handy in tests.
+    level_sizes, when given, overrides the computed per-level target
+    (keyed by level number, 1 for depth ell); handy in tests.
     """
 
     ell: int
-    horizon_n: Optional[int] = None
     delta: float = 0.01
     level_sizes: Optional[Dict[int, int]] = None
 
@@ -169,8 +166,6 @@ class LevelConfig:
             raise ValueError(f"step must lie in [1, {_MAX_STEP}]")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.horizon_n is not None and self.horizon_n < 0:
-            raise ValueError("horizon must be nonnegative")
         if self.level_sizes and any(v < 1 for v in self.level_sizes.values()):
             raise ValueError("level sizes must be positive")
 
@@ -181,12 +176,27 @@ class LevelConfig:
 _Continuation = Tuple[Tuple[Optional[int], ...], Tuple[int, ...]]
 
 
-# a lemma check uses one or two keys; a table holds 2^ell entries and
-# outlives its dictionaries, so only the most recent keys are kept
-@functools.lru_cache(maxsize=8)
-def _continuation_store(ell: int, d: Fraction, delta: float) -> dict:
-    """Continuation tables, shared by the dictionaries with this (ell, D, delta)."""
-    return {}
+# a table holds 2^ell entries and outlives its dictionaries; 48 tables
+# cover the working set of every lemma check and of large encodes
+@functools.lru_cache(maxsize=48)
+def _continuation(ell: int, dn: int, dd: int, base: int, entering_mism: int) -> _Continuation:
+    """Each ell-bit mismatch pattern continuing a match, if in budget.
+
+    Entry d answers: starting at depth base with entering_mism
+    mismatches, does appending a segment whose XOR against the window
+    is d keep every prefix within dn/dd of its length, and with how
+    many mismatches?  Dictionaries with the same step and D share it.
+    """
+    steps: List[Optional[int]] = []
+    for d in range(1 << ell):
+        m = entering_mism
+        for j in range(1, ell + 1):
+            m += (d >> (j - 1)) & 1
+            if m * dd > dn * (base + j):
+                m = None
+                break
+        steps.append(m)
+    return tuple(steps), tuple(d for d, m in enumerate(steps) if m is not None)
 
 
 class CodebookTree:
@@ -217,10 +227,10 @@ class CodebookTree:
             self._filled: set = set()  # windows fill_level1 has already walked
             # widest[k]: the largest level-k frontier any search has seen
             self.widest: List[int] = [0, 0]
-            # the shared store, fetched by the first search: level k ->
-            # (continuations from level k by entering mismatch count, None
-            # until first needed; the widest level k + 1 frontier search accepts)
-            self._continuation_cache: Optional[dict] = None
+            # appended by the first search to reach level k: (continuations
+            # from level k by entering mismatch count, None until first
+            # needed; the widest level k + 1 frontier search accepts)
+            self._continuations: List[Tuple[List[Optional[_Continuation]], float]] = []
         else:
             raise ValueError(f"unknown variant {variant!r}")
 
@@ -435,35 +445,6 @@ class CodebookTree:
         children[extension] = node
         return node
 
-    def _continuation_level(self, level: int) -> Tuple[List[Optional[_Continuation]], float]:
-        """The store's entry for a level; setdefault keeps one if threads race."""
-        return self._continuation_cache.setdefault(
-            level, ([None] * (level * self.ell + 1), ((level + 1) * self.ell) ** 4 / self.cfg.delta))
-
-    def _continuations(self, offset_levels: int, entering_mism: int) -> _Continuation:
-        """Each ell-bit mismatch pattern continuing a match, if in budget.
-
-        Entry d answers: starting at depth offset_levels * ell with
-        entering_mism mismatches, does appending a segment whose XOR
-        against the window is d keep every prefix within budget, and
-        with how many mismatches?  The result is stored in the shared
-        continuation store, which search reads first.
-        """
-        ell = self.ell
-        base = offset_levels * ell
-        steps: List[Optional[int]] = []
-        for d in range(1 << ell):
-            m = entering_mism
-            for j in range(1, ell + 1):
-                m += (d >> (j - 1)) & 1
-                if m * self._dd > self._dn * (base + j):
-                    m = None
-                    break
-            steps.append(m)
-        got = (tuple(steps), tuple(d for d, m in enumerate(steps) if m is not None))
-        self._continuation_level(offset_levels)[0][entering_mism] = got
-        return got
-
     def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], bool]:
         """Oldest of the deepest codelets prefix-wise matching the window.
 
@@ -474,19 +455,20 @@ class CodebookTree:
         frontier node probes only in-budget segments: it looks up each
         valid mismatch pattern among its children when there are fewer
         patterns than children, and otherwise checks each child against
-        the pattern table, built on the first miss of the continuation
-        store.  Each level's frontier size raises widest[level] when it
-        is larger, so the widest frontiers of all searches are kept
-        without a record per call.  Sets give_up and stops descending
-        when a frontier outgrows (k * ell)^4 / delta.  The oldest node
-        is the one with the least ordinal; a one-node frontier is its
-        own.
+        the pattern table.  The tables come from the memoized
+        _continuation, read once per (level, mismatches) into this
+        dictionary's own per-level list; only search reads them, so
+        decoding never builds one.  Each level's frontier size raises
+        widest[level] when it is larger, so the widest frontiers of all
+        searches are kept without a record per call.  Sets give_up and
+        stops descending when a level-k frontier outgrows
+        (k * ell)^4 / delta, so check_frontier_growth counts give-ups
+        alone.  The oldest node is the one with the least ordinal; a
+        one-node frontier is its own.
         """
         ell = self.ell
         mask = (1 << ell) - 1
-        cache = self._continuation_cache
-        if cache is None:  # only search reaches the store, so decoding never fills it
-            cache = self._continuation_cache = _continuation_store(ell, self.dist.d, self.cfg.delta)
+        tables = self._continuations
         widest = self.widest
         current: List[Tuple[LevelNode, int]] = [(self.root, 0)]
         level = 0
@@ -494,10 +476,10 @@ class CodebookTree:
         give_up = False
         while level < depth:
             seg = (window_bits >> (level * ell)) & mask
-            try:
-                by_mism, limit = cache[level]
-            except KeyError:  # no search of this store went this deep yet
-                by_mism, limit = self._continuation_level(level)
+            if level == len(tables):  # no search went this deep yet
+                tables.append(([None] * (level * ell + 1),
+                               ((level + 1) * ell) ** 4 / self.cfg.delta))
+            by_mism, limit = tables[level]
             nxt: List[Tuple[LevelNode, int]] = []
             for node, m in current:
                 children = node.children
@@ -505,7 +487,7 @@ class CodebookTree:
                     continue
                 got = by_mism[m]
                 if got is None:
-                    got = self._continuations(level, m)
+                    got = by_mism[m] = _continuation(ell, self._dn, self._dd, level * ell, m)
                 steps, valid = got
                 if len(valid) < len(children):
                     for d in valid:

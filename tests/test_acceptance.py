@@ -190,7 +190,7 @@ def test_criterion_03_lossless_reduction(capsys):
         if [len(e.y_bits) for e in rp.events] != _lz78_phrase_lengths(x.to01()):
             bad_bounds += 1
         ell = int(rng.integers(2, 5))
-        ri = encode_idealized(x, zero, cfg=LevelConfig(ell=ell, horizon_n=n))
+        ri = encode_idealized(x, zero, cfg=LevelConfig(ell=ell))
         if ri.y != x:
             bad_idealized += 1
     if bad_practical:
@@ -216,7 +216,7 @@ def test_criterion_04_distortion_guarantee(capsys):
         d = Fraction(int(rng.integers(0, 33)), 64)
         x = bernoulli(rng, n, float(rng.uniform(0.05, 0.95)))
         rp = encode_practical(x, d)
-        ri = encode_idealized(x, d, cfg=LevelConfig(ell=2, horizon_n=n))
+        ri = encode_idealized(x, d, cfg=LevelConfig(ell=2))
         if hamming_distance(x, rp.y) > d * n or hamming_distance(x, ri.y) > d * n:
             bad += 1
     if bad:
@@ -241,7 +241,7 @@ def test_criterion_05_round_trip(capsys):
         if decode(EncodedStream.from_bytes(rp.stream.to_bytes())) != rp.y:
             bad_p += 1
         ell = int(rng.integers(2, 5))
-        ri = encode_idealized(x, d, cfg=LevelConfig(ell=ell, horizon_n=n))
+        ri = encode_idealized(x, d, cfg=LevelConfig(ell=ell))
         if decode(EncodedStream.from_bytes(ri.stream.to_bytes())) != ri.y:
             bad_i += 1
     if bad_p:
@@ -298,7 +298,7 @@ def test_criterion_06_exhaustive_probability_and_search(capsys):
         d = Fraction(int(rng.integers(0, 4)), 8)
         n = int(rng.integers(512, 4096))
         x = bernoulli(rng, n, float(rng.uniform(0.3, 0.7)))
-        tree = encode_idealized(x, d, cfg=LevelConfig(ell=ell, horizon_n=n)).stats.tree
+        tree = encode_idealized(x, d, cfg=LevelConfig(ell=ell)).stats.tree
         for _ in range(10):
             wlen = int(rng.integers(1, 4 * ell + 2))
             window = BitSequence(int(rng.integers(0, 1 << wlen)), wlen)
@@ -412,21 +412,20 @@ def test_criterion_10_quasi_linear_runtime(capsys):
     half = Fraction(1, 2)
     # warm-up so allocator and caches do not bill the first cell
     warm = bernoulli(np.random.default_rng(0), 1 << 14, 0.5)
-    encode_idealized(warm, d, half, LevelConfig(ell=default_step(1 << 14),
-                                                horizon_n=1 << 14))
+    encode_idealized(warm, d, half, LevelConfig(ell=default_step(1 << 14)))
     # process time and the median of 5 encodes per size, so that a
     # busy shared host neither bills other work nor lets one slow
-    # encode move a cell
-    medians = {}
-    for n in (1 << 16, 1 << 17, 1 << 18):
-        cfg = LevelConfig(ell=default_step(n), horizon_n=n)
-        times = []
-        for seed in range(5):
+    # encode move a cell; seed-major, so that a burst of load lands on
+    # every size alike rather than on one size's block
+    sizes = (1 << 16, 1 << 17, 1 << 18)
+    times = {n: [] for n in sizes}
+    for seed in range(5):
+        for n in sizes:
             x = bernoulli(np.random.default_rng(seed), n, 0.5)
             t1 = time.process_time()
-            encode_idealized(x, d, half, cfg)
-            times.append(time.process_time() - t1)
-        medians[n] = statistics.median(times)
+            encode_idealized(x, d, half, LevelConfig(ell=default_step(n)))
+            times[n].append(time.process_time() - t1)
+    medians = {n: statistics.median(ts) for n, ts in times.items()}
     factors = []
     for small, big in ((1 << 16, 1 << 17), (1 << 17, 1 << 18)):
         factor = medians[big] / medians[small]

@@ -535,13 +535,8 @@ class TestSelectCodelet:
 
 
 class TestIdealizedCoder:
-    def cfg(self, n, ell=2):
-        return LevelConfig(ell=ell, horizon_n=n)
-
-    def test_horizon_mismatch_rejected(self):
-        x = BitSequence.from_str("0101")
-        with pytest.raises(ValueError):
-            encode_idealized(x, Fraction(1, 4), cfg=self.cfg(999))
+    def cfg(self, ell=2):
+        return LevelConfig(ell=ell)
 
     def test_round_trip_various_steps(self):
         rng = np.random.default_rng(31)
@@ -550,7 +545,7 @@ class TestIdealizedCoder:
                 n = int(rng.integers(ell, 900))
                 x = bernoulli(rng, n, 0.5)
                 res = encode_idealized(x, Fraction(1, 4), src=Fraction(1, 2),
-                                       cfg=self.cfg(n, ell))
+                                       cfg=self.cfg(ell))
                 assert decode(res.stream) == res.y
                 assert res.stream.header.ell == ell
 
@@ -567,7 +562,7 @@ class TestIdealizedCoder:
             n = int(rng.integers(2, 700))
             d = Fraction(int(rng.integers(0, 50)), 100)
             x = bernoulli(rng, n, float(rng.uniform(0.2, 0.8)))
-            res = encode_idealized(x, d, cfg=self.cfg(n))
+            res = encode_idealized(x, d, cfg=self.cfg())
             assert hamming_distance(x, res.y) <= d * n
             assert res.stats.distortion == hamming_distance(x, res.y)
 
@@ -579,7 +574,7 @@ class TestIdealizedCoder:
         x = bernoulli(rng, 640, 0.5)
         for src in (Fraction(1, 2), None):
             for sizes in (None, {1: 3, 2: 5, 3: 7}):
-                cfg = LevelConfig(ell=2, horizon_n=640, level_sizes=sizes)
+                cfg = LevelConfig(ell=2, level_sizes=sizes)
                 res = encode_idealized(x, Fraction(1, 4), src=src, cfg=cfg)
                 events = list(res.events)
                 assert res.stats.phrases == len(events)
@@ -619,6 +614,11 @@ class TestIdealizedCoder:
         cfg = LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})
         res = encode_idealized(x, 1, cfg=cfg)
         assert res.stats.give_ups > 0
+        # a frontier over the bound implies a give-up, so the frontier
+        # check may flag runs by give-ups alone
+        over = [lvl for lvl, size in res.stats.max_frontier.items()
+                if size > (lvl * cfg.ell) ** 4 / cfg.delta]
+        assert over
         assert res.stats.escapes >= res.stats.give_ups
         assert decode(res.stream, cfg) == res.y
         assert hamming_distance(x, res.y) <= 1 * len(x)
@@ -627,7 +627,7 @@ class TestIdealizedCoder:
         rng = np.random.default_rng(35)
         x = bernoulli(rng, 45, 0.5)
         res = encode_idealized(x, Fraction(1, 4), src=Fraction(1, 2),
-                               cfg=self.cfg(45))
+                               cfg=self.cfg())
         last = res.events[-1]
         assert last.kind == "escape"
         assert len(last.y_bits) == 45 % 2 == 1
@@ -637,9 +637,9 @@ class TestIdealizedCoder:
         rng = np.random.default_rng(36)
         x = bernoulli(rng, 512, 0.5)
         a = encode_idealized(x, Fraction(11, 100), src=Fraction(1, 2),
-                             cfg=self.cfg(512))
+                             cfg=self.cfg())
         b = encode_idealized(x, Fraction(11, 100), src=Fraction(1, 2),
-                             cfg=self.cfg(512))
+                             cfg=self.cfg())
         assert a.stream.to_bytes() == b.stream.to_bytes()
 
     def test_practical_stream_relabelled_idealized_is_corrupt(self):
@@ -653,7 +653,7 @@ class TestIdealizedCoder:
         rng = np.random.default_rng(37)
         x = bernoulli(rng, 2048, 0.5)
         res = encode_idealized(x, Fraction(1, 4), src=Fraction(1, 2),
-                               cfg=self.cfg(2048))
+                               cfg=self.cfg())
         raw = res.stream.to_bytes()
         assert len(raw) > Header.SIZE + 8
         with pytest.raises(CorruptStream):
@@ -718,7 +718,7 @@ class TestIdealizedPhraseStep:
             x = bernoulli(rng, n, float(rng.uniform(0.2, 0.8)))
             d = Fraction(int(rng.integers(0, 40)), 100)
             configs = (
-                (d, LevelConfig(ell=default_step(n), horizon_n=n)),
+                (d, LevelConfig(ell=default_step(n))),
                 (d, LevelConfig(ell=2, level_sizes={1: 3, 2: 5, 3: 7})),
                 (1, LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})),
             )
@@ -744,7 +744,7 @@ def _event_logs(n):
     x = bernoulli(np.random.default_rng(39), n, 0.5)
     prac = encode_practical(x, Fraction(0))
     yield prac, len(lz78_phrase_lengths(x.to01()))
-    ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=n))
+    ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2))
     yield ideal, ideal.stats.phrases
 
 
@@ -820,7 +820,7 @@ def _round_trip_grid():
     for d in (Fraction(0), Fraction(11, 100), Fraction(1, 4), Fraction(1, 2)):
         for src in (Fraction(1, 2), None):
             x = bernoulli(rng, 601, 0.5)
-            res = encode_idealized(x, d, src=src, cfg=LevelConfig(ell=2, horizon_n=601))
+            res = encode_idealized(x, d, src=src, cfg=LevelConfig(ell=2))
             assert decode(res.stream.to_bytes()) == res.y
             for relation in MatchRelation:
                 res = encode_practical(x, d, relation=relation, src=src)
@@ -846,7 +846,7 @@ class TestCycleCollector:
     def test_collector_is_switched_back_on(self):
         assert gc.isenabled()
         x = bernoulli(np.random.default_rng(44), 512, 0.5)
-        ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=512))
+        ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2))
         assert gc.isenabled()
         prac = encode_practical(x, Fraction(1, 4))
         assert gc.isenabled()
@@ -861,7 +861,7 @@ class TestCycleCollector:
         x = bernoulli(np.random.default_rng(45), 512, 0.5)
         gc.disable()
         try:
-            ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2, horizon_n=512))
+            ideal = encode_idealized(x, Fraction(1, 4), cfg=LevelConfig(ell=2))
             prac = encode_practical(x, Fraction(1, 4))
             decode(ideal.stream)
             decode(prac.stream)

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_fuzz import STREAMS
 
 from clp import dictionary
 from clp.bits import BitSequence
@@ -24,7 +25,7 @@ from clp.dictionary import (
     lex_key,
     target_reproduction_type,
 )
-from clp.codec import VARIANT_IDEALIZED, Header, decode, encode_idealized
+from clp.codec import VARIANT_IDEALIZED, Header, decode
 from clp.errors import CorruptStream, NotALeaf
 from clp.matching import MatchRelation, matches_full, matches_prefixwise
 
@@ -219,8 +220,17 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 
+HOSTILE_DISTS = (0, Fraction(1, 4), Fraction(1, 3))
+
+
+def hostile_wide_step_stream(dist) -> bytes:
+    """ell = 16, every all-zero record an escape of the same window."""
+    return Header.build(n=2**20, dist=dist, src=HALF, ell=16, variant=VARIANT_IDEALIZED,
+                        relation=MatchRelation.PREFIX_WISE).pack() + bytes(1024)
+
+
 def small_config(**kw):
-    base = dict(ell=2, horizon_n=4096, delta=0.01)
+    base = dict(ell=2, delta=0.01)
     base.update(kw)
     return LevelConfig(**base)
 
@@ -285,13 +295,11 @@ class TestIdealizedBuild:
         assert tree.promote(base, 0b10, HALF) is None  # level 2 is full
         assert tree.live_count(2) == 2 and 0b10 not in base.children
 
-    @pytest.mark.parametrize("dist", [0, Fraction(1, 4), Fraction(1, 3)], ids=["0", "1/4", "1/3"])
+    @pytest.mark.parametrize("dist", HOSTILE_DISTS, ids=["0", "1/4", "1/3"])
     def test_hostile_wide_step_stream_fails_fast(self, dist):
-        # ell = 16: every all-zero record is an escape of the same window,
-        # whose fill must neither scan all 2^16 level-1 patterns nor, once
+        # the fill must neither scan all 2^16 level-1 patterns nor, once
         # thousands of them match (D = 1/3), walk them again on a repeat
-        raw = Header.build(n=2**20, dist=dist, src=HALF, ell=16, variant=VARIANT_IDEALIZED,
-                           relation=MatchRelation.PREFIX_WISE).pack() + bytes(1024)
+        raw = hostile_wide_step_stream(dist)
         start = time.process_time()
         with pytest.raises(CorruptStream):
             decode(raw)
@@ -370,7 +378,7 @@ class TestIdealizedSearch:
         for ell in range(1, 5):
             for d in dists:
                 for trial in range(4):
-                    cfg = LevelConfig(ell=ell, horizon_n=1 << 12, delta=0.01)
+                    cfg = LevelConfig(ell=ell, delta=0.01)
                     tree = grow_idealized(rng, cfg, d, steps=int(rng.integers(5, 120)))
                     for _ in range(12):
                         wlen = int(rng.integers(1, 4 * ell + 2))
@@ -418,8 +426,7 @@ class TestIdealizedSearch:
     def test_give_up_on_a_flooded_frontier(self):
         # D = 1 with huge caps: level-3 frontier has 64^3 = 262144 live
         # codelets, beyond (3 * 6)^4 / delta = 104976
-        cfg = LevelConfig(ell=6, horizon_n=1 << 20, delta=1.0,
-                          level_sizes={1: 64, 2: 4096, 3: 262144})
+        cfg = LevelConfig(ell=6, delta=1.0, level_sizes={1: 64, 2: 4096, 3: 262144})
         tree = idealized_build_init(cfg, 1)
         tree.fill_level1(0, HALF)
         for node in list(tree.levels[1]):
@@ -434,42 +441,56 @@ class TestIdealizedSearch:
         assert sizes[3] == 262144
 
 
-class TestContinuationStore:
-    def test_dictionaries_with_one_key_share_tables(self, monkeypatch):
-        # a key no other test uses, so the store starts empty
-        d, delta = Fraction(2, 7), 0.37
-        first = idealized_build_init(small_config(ell=3, delta=delta), d)
-        second = idealized_build_init(small_config(ell=3, delta=delta, horizon_n=99), d)
-        others = [idealized_build_init(small_config(ell=ell, delta=dlt), dist)
-                  for ell, dist, dlt in ((3, Fraction(2, 9), delta), (4, d, delta), (3, d, 0.5))]
-        for tree in (first, second):
-            tree.fill_level1(0b101, HALF)
-            tree.promote(tree.levels[1][0], 0b011, HALF)
-        window = BitSequence.from_str("101011")
-        want = first.search(window.value, window.length)
-        assert len(first._continuation_cache) == 2
-        for other in others:
-            other.search(window.value, window.length)
-            assert other._continuation_cache is not first._continuation_cache
-        # the second dictionary's search builds no table of its own
+def memo_tables(tree: CodebookTree) -> list:
+    """The continuation tables a dictionary's searches have read, by level."""
+    return [table for by_mism, _ in tree._continuations for table in by_mism if table is not None]
 
-        def unexpected(*args):
-            raise AssertionError("table rebuilt")
 
-        monkeypatch.setattr(CodebookTree, "_continuations", unexpected)
-        got = second.search(window.value, window.length)
-        assert second._continuation_cache is first._continuation_cache
-        assert (got[0].bits, got[0].level, got[1]) == (want[0].bits, want[0].level, want[1])
+def searched(ell: int, dist, delta: float) -> CodebookTree:
+    """A dictionary whose one search reads tables at levels 0 and 1."""
+    tree = idealized_build_init(small_config(ell=ell, delta=delta), dist)
+    tree.fill_level1(0b101, HALF)
+    tree.promote(tree.levels[1][0], 0b011, HALF)
+    tree.search(0b011101, 2 * ell)
+    return tree
 
-    def test_decoding_reaches_no_store(self):
-        # only search fetches a store, and the decoder never searches, so
-        # no stream, however hostile, can add a key or a table
-        d = Fraction(3, 11)
-        x = BitSequence(0b1011_0010_1110_0101_0011_1010, 24)
-        res = encode_idealized(x, d, HALF, small_config(ell=3, horizon_n=24))
-        dictionary._continuation_store.cache_clear()
-        assert decode(res.stream.to_bytes(), small_config(ell=3, horizon_n=None)) == res.y
-        assert dictionary._continuation_store.cache_info().currsize == 0
+
+class TestContinuationMemo:
+    def test_dictionaries_differing_only_in_delta_share_tables(self):
+        d = Fraction(2, 7)
+        first, second = searched(3, d, 0.37), searched(3, d, 0.5)
+        shared = memo_tables(first)
+        assert len(shared) == len(first._continuations) == 2
+        assert len(memo_tables(second)) == 2
+        assert all(a is b for a, b in zip(shared, memo_tables(second)))
+        # another step or another D reads tables of its own
+        for other in (searched(4, d, 0.37), searched(3, Fraction(2, 9), 0.37)):
+            assert memo_tables(other)
+            assert not any(a is b for a in memo_tables(other) for b in shared)
+
+    def test_cleared_memo_rebuilds_equal_tables(self):
+        d = Fraction(3, 8)
+        before = searched(3, d, 0.37)
+        dictionary._continuation.cache_clear()
+        after = searched(3, d, 0.37)
+        assert memo_tables(after) == memo_tables(before)
+        assert not any(a is b for a, b in zip(memo_tables(after), memo_tables(before)))
+        assert dictionary._continuation.cache_info().currsize == len(memo_tables(after))
+
+    def test_decoding_leaves_the_memo_untouched(self):
+        # only search reads tables, and the decoder never searches, so no
+        # stream, valid or hostile, can add, look up or evict one
+        streams = [(raw, cfg) for raw, cfg in STREAMS
+                   if Header.unpack(raw).variant == VARIANT_IDEALIZED]
+        streams += [(hostile_wide_step_stream(dist), None) for dist in HOSTILE_DISTS]
+        assert len(streams) == 5
+        before = dictionary._continuation.cache_info()
+        for raw, cfg in streams:
+            try:
+                decode(raw, cfg)
+            except CorruptStream:
+                pass
+            assert dictionary._continuation.cache_info() == before
 
 
 class TestLevelConfigValidation:
@@ -480,8 +501,6 @@ class TestLevelConfigValidation:
             LevelConfig(ell=17)
         with pytest.raises(ValueError):
             LevelConfig(ell=2, delta=0.0)
-        with pytest.raises(ValueError):
-            LevelConfig(ell=2, horizon_n=-1)
         with pytest.raises(ValueError):
             LevelConfig(ell=2, level_sizes={1: 0})
 

@@ -29,7 +29,7 @@ def _streams():
     rng = np.random.Generator(np.random.Philox(2024))
     x = bernoulli(rng, 300, 0.5)
     z = bernoulli(rng, 257, 0.3)
-    capped = LevelConfig(ell=3, horizon_n=257, level_sizes={1: 3, 2: 5, 3: 7})
+    capped = LevelConfig(ell=3, level_sizes={1: 3, 2: 5, 3: 7})
     return (
         (encode_practical(x, Fraction(1, 8)).stream.to_bytes(), None),
         (encode_practical(z, Fraction(1, 10), MatchRelation.PREFIX_WISE,

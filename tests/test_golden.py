@@ -30,8 +30,8 @@ def _configs(n):
     ell = default_step(n)
     return (
         None,
-        LevelConfig(ell=ell, horizon_n=n, level_sizes={1: 3, 2: 5, 3: 7}),
-        LevelConfig(ell=ell, horizon_n=n, delta=1.0),
+        LevelConfig(ell=ell, level_sizes={1: 3, 2: 5, 3: 7}),
+        LevelConfig(ell=ell, delta=1.0),
     )
 
 

@@ -198,6 +198,14 @@ class TestIndividualChecks:
         assert r.passed and r.estimate == 0.0
         assert max(r.details["max_frontier_by_level"]) < r.details["deepest_level"]
 
+    def test_auto_step_of_frontier_growth(self):
+        # ell = 0: frontier growth steps by default_step of the largest
+        # n, the other level checks by 2 (rate_sweep: TestRateSweep)
+        cfg = ExperimentConfig(ell=0, n_values=(64, 4096), trials=2, seed=5)
+        assert default_step(4096) == 4 != sweep_step(4096)
+        assert check_frontier_growth(cfg).details["ell"] == 4
+        assert check_symmetry(cfg).details["ell"] == cfg.step == 2
+
     def test_short_phrases_rejects_zero_rate(self):
         cfg = small_cfg(p=Fraction(1, 2), dist=Fraction(1, 2))
         with pytest.raises(ZeroRate):
@@ -257,9 +265,8 @@ class TestWorkers:
 
     def test_idealized_checks_keep_their_reports(self, monkeypatch):
         # digests of reports taken before dictionaries shared their
-        # continuation tables; each must hold with the shared store
-        # empty and again once the serial run has filled it, serially
-        # and on a pool
+        # continuation tables; each must hold with the memo empty and
+        # again once the serial run has filled it, serially and on a pool
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cases = (
             (check_symmetry, ExperimentConfig(ell=4, trials=200, seed=13),
@@ -273,7 +280,7 @@ class TestWorkers:
             (check_frontier_growth, ExperimentConfig(trials=30, seed=13, n_values=(8192,)),
              "59c934498089032e12622294905f006d2a4e84451ee518c294ae6f5ed182fde1"),
         )
-        dictionary._continuation_store.cache_clear()
+        dictionary._continuation.cache_clear()
         for workers in (1, 2):
             for check, cfg, want in cases:
                 report = check(dataclasses.replace(cfg, workers=workers))
