@@ -116,15 +116,11 @@ class PracticalNode:
         self.ones = bits.bit_count()
         self.budget = budget
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.children is None
-
     def sequence(self) -> BitSequence:
         return BitSequence(self.bits, self.depth)
 
     def __repr__(self) -> str:
-        kind = "leaf" if self.is_leaf else "node"
+        kind = "leaf" if self.children is None else "node"
         return f"<{kind} {BitSequence(self.bits, self.depth).to01()}>"
 
 
@@ -241,7 +237,7 @@ class CodebookTree:
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if node.is_leaf:
+            if node.children is None:
                 out.append(node)
             else:
                 stack.extend(node.children)

@@ -21,7 +21,6 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.stats import chi2
 
 from .bits import BitSequence, bernoulli
 from .codec import coding_rate, encode_idealized
@@ -208,12 +207,13 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _mean_sd(values: Sequence[float]) -> Tuple[float, float]:
+def _mean_se(values: Sequence[float]) -> Tuple[float, float]:
+    """Sample mean and its standard error, sd / sqrt(count)."""
     m = sum(values) / len(values)
     if len(values) < 2:
         return m, 0.0
     var = sum((v - m) ** 2 for v in values) / (len(values) - 1)
-    return m, math.sqrt(var)
+    return m, math.sqrt(var) / math.sqrt(len(values))
 
 
 def _run_part(fn, items) -> list:
@@ -229,7 +229,7 @@ def _pool_map(fn, items: Sequence, workers: int) -> list:
     nothing a caller sees depends on the process count.  fn and the
     items must pickle.  Workers come from the platform's default start
     method: the harness starts no threads, and a spawned worker would
-    first re-import numpy and scipy, which takes longer than a
+    first re-import numpy and clp, which takes longer than a
     desk-scale check.
     """
     procs = min(workers, len(items), os.cpu_count() or 1)
@@ -258,10 +258,16 @@ def _trials(cfg: ExperimentConfig, tag: int, count: int, fn) -> list:
 # -- dictionary growth shared by the level checks --------------------------
 
 
+def _encode_fresh(cfg: ExperimentConfig, rng, n: int, ell: int,
+                  level_sizes: Optional[Dict[int, int]] = None):
+    """Stats of one idealized encode of a fresh n-bit Bernoulli(p) input."""
+    x = bernoulli(rng, n, float(cfg.p))
+    lc = LevelConfig(ell=ell, delta=cfg.delta, level_sizes=level_sizes)
+    return encode_idealized(x, cfg.dist, cfg.p, lc).stats
+
+
 def _grow(cfg: ExperimentConfig, levels: Tuple[int, ...], rng, t) -> List[List[BitSequence]]:
-    x = bernoulli(rng, cfg.build_n, float(cfg.p))
-    lc = LevelConfig(ell=cfg.step, delta=cfg.delta)
-    tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
+    tree = _encode_fresh(cfg, rng, cfg.build_n, cfg.step).tree
     return [_live_sequences(tree, level, cfg.step) for level in levels]
 
 
@@ -327,9 +333,8 @@ def check_match_count_mean(cfg: ExperimentConfig) -> LemmaReport:
     for t, n_match in enumerate(matches):
         counts.append(float(n_match))
         diffs.append(n_match - len(live[t % cfg.build_count]) * float(p_match))
-    mean_n, _ = _mean_sd(counts)
-    mean_diff, sd_diff = _mean_sd(diffs)
-    se = sd_diff / math.sqrt(len(diffs))
+    mean_n, _ = _mean_se(counts)
+    mean_diff, se = _mean_se(diffs)
     bound = mean_n - mean_diff  # = mean over trials of M * p
     return _report(
         "match-count-mean", mean_n, bound, cfg.trials, se, "abs",
@@ -347,7 +352,7 @@ def _ball_count(x: BitSequence, seqs: List[BitSequence], prefix_len: int,
     xw = x.window(0, prefix_len)
     hits = 0
     for y in seqs:
-        if y.length == prefix_len and ((y.value ^ xw).bit_count() <= radius):
+        if (y.value ^ xw).bit_count() <= radius:
             hits += 1
     return hits
 
@@ -389,13 +394,12 @@ def check_match_count_second_moment(cfg: ExperimentConfig) -> LemmaReport:
         rhs.append(float((n_lo * n_lo + n_lo) * ratio * ratio))
         n_lo_all.append(float(n_lo))
         n_hi_all.append(float(n_hi))
-    est, sd_est = _mean_sd(sq_hi)
-    bound, sd_bound = _mean_sd(rhs)
-    se = sd_est / math.sqrt(len(sq_hi)) + sd_bound / math.sqrt(len(rhs))
-    mean_lo, _ = _mean_sd(n_lo_all)
-    mean_hi, _ = _mean_sd(n_hi_all)
+    est, se_est = _mean_se(sq_hi)
+    bound, se_bound = _mean_se(rhs)
+    mean_lo, _ = _mean_se(n_lo_all)
+    mean_hi, _ = _mean_se(n_hi_all)
     return _report(
-        "match-count-second-moment", est, bound, cfg.trials, se, "le",
+        "match-count-second-moment", est, bound, cfg.trials, se_est + se_bound, "le",
         {
             "depth": depth, "deeper": deeper, "ell": ell,
             "ball_probability_low": str(p_lo), "ball_probability_high": str(p_hi),
@@ -423,14 +427,13 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
         hit_lo.append(1.0 if n_lo else 0.0)
         hit_hi.append(1.0 if n_hi else 0.0)
         m_lo_seen.append(float(len(grown[t % cfg.build_count][0])))
-    f_lo, sd_lo = _mean_sd(hit_lo)
-    f_hi, sd_hi = _mean_sd(hit_hi)
-    mean_m, _ = _mean_sd(m_lo_seen)
+    f_lo, se_lo = _mean_se(hit_lo)
+    f_hi, se_hi = _mean_se(hit_hi)
+    mean_m, _ = _mean_se(m_lo_seen)
     inv = 1.0 / (mean_m * float(p_lo))
     bound = f_lo / (f_lo + inv) if f_lo > 0 else 0.0
-    se = sd_hi / math.sqrt(len(hit_hi)) + sd_lo / math.sqrt(len(hit_lo))
     return _report(
-        "coverage-probability", f_hi, bound, cfg.trials, se, "ge",
+        "coverage-probability", f_hi, bound, cfg.trials, se_hi + se_lo, "ge",
         {
             "depth": depth, "deeper": deeper, "ell": ell,
             "frequency_low": f_lo, "mean_live_low": mean_m,
@@ -441,10 +444,8 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
 
 def _admitted_members(cfg: ExperimentConfig, members: List[int], cap: int,
                       build_n: int, rng, t) -> List[int]:
-    x = bernoulli(rng, build_n, float(cfg.p))
-    lc = LevelConfig(ell=cfg.step, delta=cfg.delta, level_sizes={1: cap})
-    tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
-    return [m for m in members if m in tree.level1]
+    level1 = _encode_fresh(cfg, rng, build_n, cfg.step, {1: cap}).tree.level1
+    return [m for m in members if m in level1]
 
 
 def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
@@ -455,6 +456,9 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     optimal type class must enter the dictionary equally often.
     Verified with a Pearson chi-square test at significance 0.01.
     """
+    # the only scipy user: importing it here keeps it off `import clp`
+    from scipy.stats import chi2
+
     ell = cfg.step
     q = target_reproduction_type(cfg.p, cfg.dist)
     members = _type_class(q, ell, f"type {q} is not realizable at length {ell}")
@@ -502,7 +506,6 @@ def check_cycle_lemma(cfg: ExperimentConfig) -> LemmaReport:
     worst = None
     worst_margin = None
     cells = 0
-    all_hold = True
     for L in lengths:
         for p in biases:
             for d in budgets:
@@ -512,8 +515,6 @@ def check_cycle_lemma(cfg: ExperimentConfig) -> LemmaReport:
                 low = cycle_lemma_lower_bound_exact(y, d, p)
                 margin = prob - low
                 cells += 1
-                if margin < 0:
-                    all_hold = False
                 if worst_margin is None or margin < worst_margin:
                     worst_margin = margin
                     worst = (L, str(p), str(d))
@@ -522,15 +523,13 @@ def check_cycle_lemma(cfg: ExperimentConfig) -> LemmaReport:
         "cycle-lemma", estimate, 0.0, cells, 0.0, "ge",
         {
             "cells": cells, "worst_cell": worst,
-            "worst_margin": str(worst_margin), "all_hold": all_hold,
+            "worst_margin": str(worst_margin), "all_hold": worst_margin >= 0,
         })
 
 
 def _frontier_run(cfg: ExperimentConfig, n: int, ell: int, rng,
                   t) -> Tuple[int, Dict[int, int], int]:
-    x = bernoulli(rng, n, float(cfg.p))
-    lc = LevelConfig(ell=ell, delta=cfg.delta)
-    stats = encode_idealized(x, cfg.dist, cfg.p, lc).stats
+    stats = _encode_fresh(cfg, rng, n, ell)
     return stats.give_ups, stats.max_frontier, stats.tree.max_level()
 
 
@@ -579,10 +578,7 @@ def check_short_phrases(cfg: ExperimentConfig) -> LemmaReport:
     if rd <= 0.0:
         raise ZeroRate(f"R(D) = 0 at p={cfg.p}, D={cfg.dist}")
     threshold = (math.log2(n) - 7 * ell) / rd
-    rng = _rng(cfg.seed, 8)
-    x = bernoulli(rng, n, float(cfg.p))
-    lc = LevelConfig(ell=ell, delta=cfg.delta)
-    tree = encode_idealized(x, cfg.dist, cfg.p, lc).stats.tree
+    tree = _encode_fresh(cfg, _rng(cfg.seed, 8), n, ell).tree
     per_level = {}
     count = 0
     for lvl in range(1, len(tree.levels)):
@@ -763,11 +759,10 @@ def random_codebook_baseline(cfg: ExperimentConfig) -> LemmaReport:
         hits.append(1.0 if (target[0] in book and target[1] in book) else 0.0)
         n_counts.append(float(n))
         n_sq.append(float(n * n))
-    est, sd = _mean_sd(hits)
-    se = sd / math.sqrt(len(hits))
+    est, se = _mean_se(hits)
     bound = m_size * (m_size - 1) / (n_class * (n_class - 1))
-    mean_n, _ = _mean_sd(n_counts)
-    mean_n2, _ = _mean_sd(n_sq)
+    mean_n, _ = _mean_se(n_counts)
+    mean_n2, _ = _mean_se(n_sq)
     return _report(
         "random-codebook-baseline", est, bound, cfg.trials, se, "abs",
         {
@@ -815,14 +810,13 @@ def sweep_step(n: int) -> int:
     return max(2, default_step(n) - 1)
 
 
-def _rate_cell(args) -> Dict[str, object]:
-    n, seed_val, p_str, d_str, ell, delta = args
-    p = Fraction(p_str)
-    d = Fraction(d_str)
-    step = ell if ell >= 1 else sweep_step(n)
+def _rate_cell(cfg: ExperimentConfig, cell: Tuple[int, int]) -> Dict[str, object]:
+    n, seed_val = cell
+    p, d = cfg.p, cfg.dist
+    step = cfg.ell if cfg.ell >= 1 else sweep_step(n)
     rng = _rng(seed_val, 11, n)
     x = bernoulli(rng, n, float(p))
-    lc = LevelConfig(ell=step, delta=delta)
+    lc = LevelConfig(ell=step, delta=cfg.delta)
     t0 = time.perf_counter()
     res = encode_idealized(x, d, p, lc)
     runtime = time.perf_counter() - t0
@@ -850,9 +844,8 @@ def rate_sweep(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """
     # seed-major, so that each contiguous part of a pooled run holds
     # every n alike; the sort below restores (n, seed) order
-    cells = [(n, cfg.seed + s, str(cfg.p), str(cfg.dist), cfg.ell, cfg.delta)
-             for s in range(cfg.trials) for n in cfg.n_values]
-    rows = _pool_map(_rate_cell, cells, cfg.workers)
+    cells = [(n, cfg.seed + s) for s in range(cfg.trials) for n in cfg.n_values]
+    rows = _pool_map(partial(_rate_cell, cfg), cells, cfg.workers)
     rows.sort(key=lambda r: (r["n"], r["seed"]))
     out: List[Dict[str, object]] = list(rows)
     for n in cfg.n_values:

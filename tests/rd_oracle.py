@@ -8,7 +8,20 @@ closed form.  Slow; only the tests call it.
 import numpy as np
 
 from clp.errors import Infeasible
-from clp.rd_math import _FEAS_EPS, DistortionBudget, SourceModel, _feasible_interval
+from clp.rd_math import _FEAS_EPS, DistortionBudget, SourceModel
+
+
+def _joint_bounds(q, p, d):
+    """Range of a = P(X=1,Y=1), elementwise, for X ~ Bern(p), Y ~ Bern(q)
+    and E d <= D, derived here rather than read from clp.rd_math.
+
+    Every cell of the joint is non-negative, so max(0, p + q - 1) <= a
+    <= min(p, q); and E d = P(X != Y) = p + q - 2a <= D gives
+    a >= (p + q - D)/2.  An empty range collapses to its upper end.
+    """
+    lo = np.maximum(np.maximum(0.0, p + q - 1.0), (p + q - d) / 2.0)
+    hi = np.minimum(p, q)
+    return np.minimum(lo, hi), hi
 
 
 def _np_plogp(c: np.ndarray) -> np.ndarray:
@@ -40,7 +53,7 @@ def lower_mutual_info_oracle(q, src, dist, grid_points: int = 1 << 20) -> float:
     d = DistortionBudget.of(dist).value
     if abs(p - qv) > d + _FEAS_EPS:
         raise Infeasible(f"|p - q| = {abs(p - qv):.6g} exceeds D = {d:.6g}")
-    lo, hi = _feasible_interval(qv, p, d)
+    lo, hi = _joint_bounds(qv, p, d)
     if hi - lo <= 0.0:
         return float(_info_at(np.array(lo), np.array(p), np.array(qv)))
     grid = np.linspace(lo, hi, grid_points)
@@ -75,9 +88,7 @@ def lower_mutual_info_oracle_batch(qs, ps, ds, grid_points: int = 257) -> np.nda
     d = np.asarray(ds, dtype=float)
     if np.any(np.abs(p - q) > d + _FEAS_EPS):
         raise Infeasible("batch contains an infeasible (q, p, D) triple")
-    lo = np.maximum(np.maximum(0.0, p + q - 1.0), (p + q - d) / 2.0)
-    hi = np.minimum(p, q)
-    lo = np.minimum(lo, hi)
+    lo, hi = _joint_bounds(q, p, d)
     t = np.linspace(0.0, 1.0, grid_points)[:, None]
     grid = lo[None, :] + t * (hi - lo)[None, :]
     best = _info_at(grid, p[None, :], q[None, :]).min(axis=0)

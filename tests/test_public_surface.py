@@ -1,7 +1,11 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and importing clp leaves scipy unloaded."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -17,3 +21,12 @@ def test_all_names_resolve(name):
     assert len(exported) == len(set(exported)), "duplicate export"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only check_symmetry, so the coders and the CLI start without it
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clp.__file__)))
+    code = "import sys, clp, clp.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
