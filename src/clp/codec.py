@@ -39,12 +39,13 @@ appear in source order.
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
 only acyclic data (trees whose links point downward, leaf records, a
-parse callback that does not refer to itself, and one flat tuple per
-phrase for its event), so reference counting frees all of it, and the
-pause changes neither the output nor peak memory; it only stops full
-collections from walking every node and tuple built so far, none of
-which is ever garbage.  Events are flat rows: a ParseEvent and its two
-BitSequences are built only when the event is read.  The switch is
+parse callback that does not refer to itself, and per phrase either one
+flat tuple, in the practical coder, or one reference to the codelet
+used, in the idealized coder), so reference counting frees all of it,
+and the pause changes neither the output nor peak memory; it only
+stops full collections from walking every node and tuple built so far,
+none of which is ever garbage.  A ParseEvent and its two BitSequences
+are built only when the event is read.  The switch is
 process-wide: while a coder runs, cycles made by other threads wait
 for it to return before they are collected.  A coder that finds the
 collector off leaves it off.
@@ -57,6 +58,7 @@ import gc
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .bits import BitSequence, concat_bits
@@ -104,6 +106,10 @@ VARIANT_IDEALIZED = 1
 _P_UNKNOWN = 0xFFFFFFFF
 _HEADER = struct.Struct(">4sBQIIIIHBB")
 _TIE_TOL = 1e-12
+# y is built by ORing each phrase into an integer and flushing that
+# integer as one concat_bits part once it holds this many bits: no
+# phrase costs a part of its own, and no shift grows with n
+_PART_BITS = 4096
 
 
 def _no_cycle_gc(fn):
@@ -348,6 +354,7 @@ def lz78_decode(payload: bytes, n: int) -> BitSequence:
     values = [0]
     lengths = [0]
     parts: List[Tuple[int, int]] = []
+    acc = fill = 0  # the phrases not yet in parts, and their bit count
     done = 0
     t = 1
     while done < n:
@@ -357,8 +364,8 @@ def lz78_decode(payload: bytes, n: int) -> BitSequence:
             raise CorruptStream(f"record {t} points at unseen phrase {idx}")
         plen = lengths[idx]
         if partial and plen == n - done:
-            parts.append((values[idx], plen))
-            done = n
+            acc |= values[idx] << fill
+            fill += plen
             break
         if plen + 1 > n - done:
             raise CorruptStream("phrase overruns the declared length")
@@ -366,9 +373,14 @@ def lz78_decode(payload: bytes, n: int) -> BitSequence:
         value = values[idx] | (bit << plen)
         values.append(value)
         lengths.append(plen + 1)
-        parts.append((value, plen + 1))
+        acc |= value << fill
+        fill += plen + 1
+        if fill >= _PART_BITS:
+            parts.append((acc, fill))
+            acc = fill = 0
         done += plen + 1
         t += 1
+    parts.append((acc, fill))
     return concat_bits(parts)
 
 
@@ -389,39 +401,92 @@ class ParseEvent:
     index: Optional[int] = None
 
 
-# one phrase as the coders record it: the ParseEvent fields in order,
-# with the two bit strings as their int values
-_Row = Tuple[str, int, int, int, int, int, Optional[int], Optional[int]]
-
-
-def _event(row: _Row) -> ParseEvent:
-    kind, pos, length, x_value, y_value, distortion, level, index = row
-    return ParseEvent(kind, pos, length, BitSequence(x_value, length),
-                      BitSequence(y_value, length), distortion, level, index)
-
-
 class _EventLog(Sequence[ParseEvent]):
-    """Read-only sequence of ParseEvents kept as flat rows.
+    """Read-only sequence of ParseEvents, one record per phrase.
 
-    The coders append one row per phrase; each read builds a fresh
-    ParseEvent, so the parse loop allocates no event objects.
+    A coder appends one record per phrase, and each read builds a fresh
+    ParseEvent from it with _event, so the parse loop allocates no
+    event objects.
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_records",)
 
-    def __init__(self, rows: List[_Row]):
-        self._rows = rows
+    def __init__(self, records: list):
+        self._records = records
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._records)
+
+    def _event(self, i: int) -> ParseEvent:
+        raise NotImplementedError
 
     def __getitem__(self, key):
+        count = len(self._records)
         if isinstance(key, slice):
-            return [_event(row) for row in self._rows[key]]
-        return _event(self._rows[key])
+            return [self._event(i) for i in range(*key.indices(count))]
+        i = key + count if key < 0 else key
+        if not 0 <= i < count:
+            raise IndexError("event index out of range")
+        return self._event(i)
 
     def __iter__(self):
-        return map(_event, self._rows)
+        return map(self._event, range(len(self._records)))
+
+
+class _RowLog(_EventLog):
+    """The practical coder's events: one row per phrase of the ParseEvent
+    fields in order, with the two bit strings as their int values.
+
+    Rows hold bit values, not trie nodes, so a held result does not
+    keep the trie.
+    """
+
+    __slots__ = ()
+
+    def _event(self, i: int) -> ParseEvent:
+        kind, pos, length, x_value, y_value, distortion, level, index = self._records[i]
+        return ParseEvent(kind, pos, length, BitSequence(x_value, length),
+                          BitSequence(y_value, length), distortion, level, index)
+
+
+class _CodeletLog(_EventLog):
+    """The idealized coder's events: per phrase, the LevelNode written,
+    or None for an escape.
+
+    A read takes pos from prefix sums of the phrase lengths, made on
+    the first read; x_bits from x.window; y_bits from the codelet's
+    bits, or the x bits of an escape.  Reads window x alone, so reading
+    events in order copies x's bytes once.
+    """
+
+    __slots__ = ("_x", "_ell", "_starts")
+
+    def __init__(self, x: BitSequence, ell: int, nodes: List[Optional[LevelNode]]):
+        super().__init__(nodes)
+        self._x = x
+        self._ell = ell
+        self._starts: Optional[List[int]] = None
+
+    def _event(self, i: int) -> ParseEvent:
+        starts = self._starts
+        if starts is None:
+            ell = self._ell
+            # an escape spans ell bits, a codelet ell per level; only a
+            # final escape may be shorter, and the last phrase ends at n
+            starts = list(accumulate((ell if node is None else ell * node.level
+                                      for node in self._records), initial=0))
+            starts[-1] = self._x.length
+            self._starts = starts
+        pos = starts[i]
+        length = starts[i + 1] - pos
+        x_value = self._x.window(pos, length)
+        x_bits = BitSequence(x_value, length)
+        node = self._records[i]
+        if node is None:
+            return ParseEvent("escape", pos, length, x_bits, x_bits, 0)
+        bits = node.bits
+        return ParseEvent("codelet", pos, length, x_bits, BitSequence(bits, length),
+                          (x_value ^ bits).bit_count(), node.level, node.ordinal)
 
 
 @dataclass
@@ -552,13 +617,14 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     db = DistortionBudget.of(dist)
     n = x.length
     tree = init_practical(db)
-    rows: List[_Row] = []
+    rows: List[tuple] = []  # per phrase, the ParseEvent fields (see _RowLog)
     parts: List[Tuple[int, int]] = []
     add_row, add_part = rows.append, parts.append
     window_of, root = x.window, tree.root
     find_matches, extend_codelet, select = tree.find_matches, tree.extend_codelet, select_codelet
     pos = 0
     parsed_ones = 0
+    acc = fill = 0  # y's phrases not yet in parts, and their bit count
     while pos < n:
         rem = n - pos
         width = min(rem, root.max_leaf_depth)
@@ -566,32 +632,42 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
         matches = find_matches(window, relation)
         if not matches:
             tail = window_of(pos, rem)
-            add_part((tail, rem))
+            acc |= tail << fill
+            fill += rem
             add_row(("escape", pos, rem, tail, tail, 0, None, None))
             break
         chosen = select(matches, window, parsed_ones, pos, db)
         L, bits = chosen.depth, chosen.bits
         xseg = window.value & ((1 << L) - 1)  # a leaf is never longer than the window
-        add_part((bits, L))
+        acc |= bits << fill
+        fill += L
+        if fill >= _PART_BITS:
+            add_part((acc, fill))
+            acc = fill = 0
         add_row(("codelet", pos, L, xseg, bits, (xseg ^ bits).bit_count(), None, None))
         extend_codelet(chosen)
         parsed_ones += xseg.bit_count()
         pos += L
+    add_part((acc, fill))
     y = concat_bits(parts)
     stats = EncodeStats(phrases=len(rows), escapes=[row[0] for row in rows].count("escape"),
                         distortion=hamming_distance(x, y))
     payload, nbits = lz78_encode(y)
     header = Header.build(n=n, dist=db, src=src, ell=0,
                           variant=VARIANT_PRACTICAL, relation=relation)
-    return PracticalResult(y, EncodedStream(header, payload, nbits), _EventLog(rows), stats)
+    return PracticalResult(y, EncodedStream(header, payload, nbits), _RowLog(rows), stats)
 
 
 # -- idealized coder ------------------------------------------------------
 
 
-def _estimate_src(y_ones: int, y_len: int) -> SourceModel:
-    """The source model an unknown-source parse assumes: y's bias so far."""
-    return SourceModel(Fraction(y_ones, y_len))
+def _estimate_src(parts: List[Tuple[int, int]], acc: int, y_len: int) -> SourceModel:
+    """The source model an unknown-source parse assumes: y's bias so far.
+
+    y so far is the flushed parts followed by the accumulator acc.
+    """
+    ones = acc.bit_count() + sum(value.bit_count() for value, _ in parts)
+    return SourceModel(Fraction(ones, y_len))
 
 
 def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceModel],
@@ -606,11 +682,15 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     phrase earlier to the next level, and a full-length escape admits
     the level-1 candidates matching its raw bits.
 
+    y is built in place: each phrase is ORed into an integer
+    accumulator, flushed as one part once it holds _PART_BITS bits, and
+    concat_bits joins the parts at the end.
+
     A level's cap freezes the first time growth asks for it.  With the
     source unknown (sm None) it is sized for y's bias up to and
-    including the phrase that freezes it; that estimate is built only
-    when the level promote or fill_level1 is about to use has no
-    frozen cap, so at most once per level.
+    including the phrase that freezes it; y's ones are counted, and
+    that estimate built, only when the level promote or fill_level1 is
+    about to use has no frozen cap, so at most once per level.
     """
     parts: List[Tuple[int, int]] = []
     add_part = parts.append
@@ -619,19 +699,24 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     known = sm is not None
     mask = (1 << ell) - 1
     pos = 0
-    y_ones = 0
+    acc = fill = 0  # y's phrases not yet in parts, and their bit count
     prev_node: Optional[LevelNode] = None
     while pos < n:
         seg, seglen, node = next_phrase(pos, n - pos)
-        add_part((seg, seglen))
-        y_ones += seg.bit_count()
+        acc |= seg << fill
+        fill += seglen
+        if fill >= _PART_BITS:
+            add_part((acc, fill))
+            acc = fill = 0
         pos += seglen
         if prev_node is not None and seglen >= ell:
-            src = sm if known or prev_node.level + 1 in caps else _estimate_src(y_ones, pos)
+            src = (sm if known or prev_node.level + 1 in caps
+                   else _estimate_src(parts, acc, pos))
             promote(prev_node, seg & mask, src)
         if node is None and seglen == ell:
-            fill_level1(seg, sm if known or 1 in caps else _estimate_src(y_ones, pos))
+            fill_level1(seg, sm if known or 1 in caps else _estimate_src(parts, acc, pos))
         prev_node = node
+    add_part((acc, fill))
     return concat_bits(parts)
 
 
@@ -661,9 +746,9 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     ell = cfg.ell
     tree = idealized_build_init(cfg, db)
     writer = BitWriter()
-    rows: List[_Row] = []
+    nodes: List[Optional[LevelNode]] = []  # per phrase: the codelet written, None to escape
     stats = EncodeStats(tree=tree)
-    add_row = rows.append
+    add_node = nodes.append
     window_of, search = x.window, tree.search
     write, write_trunc = writer.write, writer.write_trunc
     levels, admitted = tree.levels, tree.admitted
@@ -684,27 +769,23 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
             seg = window & ((1 << seglen) - 1)
             write_trunc(0, slot_bound)
             write(lex_key(seg, seglen), seglen)  # MSB first = source order
-            add_row(("escape", pos, seglen, seg, seg, 0, None, None))
+            add_node(None)
             return seg, seglen, None
-        level, bits = best.level, best.bits
-        seglen = level * ell
         write_trunc(best.ordinal + 1, slot_bound)
-        xseg = window & ((1 << seglen) - 1)
-        add_row(("codelet", pos, seglen, xseg, bits, (xseg ^ bits).bit_count(),
-                 level, best.ordinal))
-        return bits, seglen, best
+        add_node(best)
+        return best.bits, best.level * ell, best
 
     y = _idealized_parse(n, ell, tree, sm, next_phrase)
     # totals counted once from the finished parse; only promote admits above level 1
-    stats.phrases = len(rows)
-    stats.escapes = [row[0] for row in rows].count("escape")
+    stats.phrases = len(nodes)
+    stats.escapes = nodes.count(None)
     stats.promotions = len(admitted) - len(tree.level1)
     stats.max_frontier = {lvl: size for lvl, size in enumerate(tree.widest) if size}
     stats.distortion = hamming_distance(x, y)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
     stream = EncodedStream(header, writer.getvalue(), writer.bit_length)
-    return IdealizedResult(y, stream, _EventLog(rows), stats)
+    return IdealizedResult(y, stream, _CodeletLog(x, ell, nodes), stats)
 
 
 def _decode_idealized(header: Header, payload: bytes,

@@ -24,7 +24,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .bits import BitSequence
 from .errors import NotALeaf
@@ -128,7 +128,12 @@ class PracticalNode:
 
 
 class LevelNode:
-    """An admitted codelet; ordinal is its admission rank (slot - 1)."""
+    """An admitted codelet; ordinal is its admission rank (slot - 1).
+
+    children maps each admitted one-level extension to its node.  It is
+    the empty tuple until CodebookTree.promote admits the first one and
+    makes the dict, since most codelets never get a child.
+    """
 
     __slots__ = ("bits", "level", "ordinal", "children")
 
@@ -136,7 +141,7 @@ class LevelNode:
         self.bits = bits
         self.level = level
         self.ordinal = ordinal
-        self.children: Dict[int, "LevelNode"] = {}
+        self.children: Union[Dict[int, "LevelNode"], Tuple[()]] = ()
 
     def sequence(self, ell: int) -> BitSequence:
         return BitSequence(self.bits, self.level * ell)
@@ -217,7 +222,8 @@ class CodebookTree:
             self.levels: List[List[LevelNode]] = [[], []]  # index by level, 0 unused
             # the empty codelet, never admitted: its children are level 1
             self.root = LevelNode(0, 0, -1)
-            self.level1: Dict[int, LevelNode] = self.root.children  # admitted, by bits
+            self.level1: Dict[int, LevelNode] = {}  # admitted, by bits
+            self.root.children = self.level1
             self.admitted: List[LevelNode] = []  # every codelet, admission order
             self.caps: Dict[int, int] = {}
             self._filled: set = set()  # windows fill_level1 has already walked
@@ -424,7 +430,9 @@ class CodebookTree:
         admitted or the next level is full.  The next level's cap
         freezes when first asked, so it is asked only for a new
         extension, and src is read only while that cap is unfrozen:
-        once frozen it is read from caps without calling cap().
+        once frozen it is read from caps without calling cap().  The
+        first extension admitted below a codelet creates its children
+        dict.
         """
         children = leaf.children
         if extension in children:
@@ -438,7 +446,10 @@ class CodebookTree:
         if nxt < len(levels) and len(levels[nxt]) >= cap:
             return None
         node = self._admit(leaf.bits | (extension << (level * self.ell)), nxt)
-        children[extension] = node
+        if children:
+            children[extension] = node
+        else:
+            leaf.children = {extension: node}
         return node
 
     def search(self, window_bits: int, window_len: int) -> Tuple[Optional[LevelNode], bool]:

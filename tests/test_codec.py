@@ -2,6 +2,7 @@
 
 import gc
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +30,7 @@ from clp.codec import (
     select_codelet,
 )
 from clp.dictionary import (
+    CodebookTree,
     LevelConfig,
     PracticalNode,
     default_step,
@@ -748,6 +750,74 @@ def _event_logs(n):
     yield ideal, ideal.stats.phrases
 
 
+# caps small enough that level 1 fills early, so windows it cannot
+# match escape mid-stream
+_CAPPED = LevelConfig(ell=3, level_sizes={1: 3, 2: 5, 3: 7})
+
+
+@st.composite
+def coded_inputs(draw):
+    """(coder, x as 0/1 text, D, p or None, level config or None), n <= 300."""
+    coder = draw(st.sampled_from(("practical", "idealized")))
+    x01 = draw(st.text(alphabet="01", max_size=300))
+    dist = draw(st.sampled_from((Fraction(0), Fraction(1, 10), Fraction(1, 4))))
+    src = draw(st.sampled_from((None, Fraction(1, 2), Fraction(3, 10))))
+    cfg = None
+    if coder == "idealized":
+        cfg = draw(st.sampled_from((None, LevelConfig(ell=2), _CAPPED)))
+    return coder, x01, dist, src, cfg
+
+
+def _encode_noting_escapes(coder, x, dist, src, cfg):
+    """Encode x and list, per phrase, whether the coder escaped.
+
+    The idealized coder writes one slot per phrase, 0 for an escape;
+    the practical coder searches once per phrase and escapes when
+    find_matches finds no codelet.
+    """
+    escaped = []
+    with pytest.MonkeyPatch.context() as mp:
+        if coder == "idealized":
+            write_trunc = BitWriter.write_trunc
+
+            def noting_slot(self, value, bound):
+                escaped.append(value == 0)
+                return write_trunc(self, value, bound)
+
+            mp.setattr(BitWriter, "write_trunc", noting_slot)
+            res = encode_idealized(x, dist, src, cfg)
+        else:
+            find_matches = CodebookTree.find_matches
+
+            def noting_matches(self, window, relation):
+                got = find_matches(self, window, relation)
+                escaped.append(not got)
+                return got
+
+            mp.setattr(CodebookTree, "find_matches", noting_matches)
+            res = encode_practical(x, dist, src=src)
+    return res, escaped
+
+
+def _assert_events_tile(res, x, escaped, idealized):
+    """The events cover x and y in order, one per phrase the coder wrote."""
+    events = list(res.events)
+    assert len(events) == len(escaped) == res.stats.phrases
+    pos = 0
+    for event, was_escape in zip(events, escaped):
+        end = event.pos + event.length
+        assert event.pos == pos and event.length > 0
+        assert event.x_bits == x[pos:end] and event.y_bits == res.y[pos:end]
+        assert event.distortion == hamming_distance(event.x_bits, event.y_bits)
+        assert (event.kind == "escape") == was_escape
+        if idealized and not was_escape:
+            node = res.stats.tree.admitted[event.index]
+            assert (node.bits, node.level) == (event.y_bits.value, event.level)
+            assert event.length == event.level * res.stream.header.ell
+        pos = end
+    assert pos == x.length
+
+
 class TestEventLog:
     def test_length_indexing_slicing_and_iteration_agree(self):
         for res, phrases in _event_logs(700):
@@ -760,8 +830,8 @@ class TestEventLog:
             assert list(res.events) == events  # a second pass reads the same
 
     def test_idealized_encode_builds_no_bit_sequence_per_phrase(self, monkeypatch):
-        # events stay flat rows until read, so the parse loop constructs
-        # no BitSequence, however many phrases it writes
+        # events stay codelet references until read, so the parse loop
+        # constructs no BitSequence, however many phrases it writes
         built = []
         real = codec.BitSequence
 
@@ -778,6 +848,46 @@ class TestEventLog:
             seen[n] = (res.stats.phrases, len(built))
         assert seen[1000][0] < seen[4099][0]
         assert seen[4099][1] == seen[1000][1]
+
+    def test_idealized_encode_peak_memory_per_phrase(self):
+        # the encoder keeps one codelet reference per phrase and builds
+        # y in place, so one encode peaks under 350 B per phrase
+        x = bernoulli(np.random.default_rng(1), 1 << 16, 0.5)
+        args = (x, Fraction(11, 100), Fraction(1, 2))
+        encode_idealized(*args)  # fill the shared level-size and table caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = encode_idealized(*args)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / res.stats.phrases < 350
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(coded_inputs(), st.integers(-310, 310), st.integers(-310, 310),
+           st.sampled_from((1, 2, 3, -1, -2)))
+    @example(("idealized", "0110" * 50 + "1", Fraction(1, 10), None, _CAPPED), 5, -5, 2)
+    @example(("practical", "01101" * 60, Fraction(1, 8), Fraction(1, 2), None), -1, 3, -1)
+    def test_events_tile_x_and_y(self, case, start, stop, step):
+        coder, x01, dist, src, cfg = case
+        x = BitSequence.from_str(x01)
+        res, escaped = _encode_noting_escapes(coder, x, dist, src, cfg)
+        _assert_events_tile(res, x, escaped, coder == "idealized")
+        events = list(res.events)
+        assert res.events[start:stop:step] == events[start:stop:step]
+        assert [res.events[-k] for k in range(1, len(events) + 1)] == events[::-1]
+        with pytest.raises(IndexError):
+            res.events[len(events)]
+        with pytest.raises(IndexError):
+            res.events[-len(events) - 1]
+
+    def test_capped_levels_escape_mid_stream(self):
+        # the capped config of the tiling test escapes before the tail
+        x = bernoulli(np.random.default_rng(40), 300, 0.5)
+        res, escaped = _encode_noting_escapes("idealized", x, Fraction(1, 10), None, _CAPPED)
+        assert any(escaped[:-1]) and not all(escaped)
+        _assert_events_tile(res, x, escaped, True)
 
 
 # -- container -----------------------------------------------------------
