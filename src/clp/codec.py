@@ -36,6 +36,13 @@ the slot ranges stay in lockstep by construction.  Bit order inside
 the payload is most-significant-first per byte; raw source bits
 appear in source order.
 
+Bit I/O goes by blocks, not by fields.  BitWriter gathers fields in an
+integer and emits its whole bytes once per block; BitReader keeps the
+next stream bits in a small integer buffer, refilled by whole blocks of
+bytes, and decodes a truncated-binary slot in one step.  Neither
+builds a bytes object per field, and neither holds more than a block
+and one field, so each costs the same per field at any payload size.
+
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
 only acyclic data (trees whose links point downward, leaf records, a
@@ -110,6 +117,10 @@ _TIE_TOL = 1e-12
 # integer as one concat_bits part once it holds this many bits: no
 # phrase costs a part of its own, and no shift grows with n
 _PART_BITS = 4096
+# BitWriter emits its accumulator's whole bytes once it holds this many
+# bits; BitReader refills its buffer with at least this many bytes
+_WRITE_BLOCK_BITS = 512
+_READ_BLOCK_BYTES = 16
 
 
 def _no_cycle_gc(fn):
@@ -226,29 +237,37 @@ class Header:
 class BitWriter:
     """Most-significant-bit-first bit sink.
 
-    Bits not yet flushed wait in an integer accumulator, fewer than 8
-    of them between calls; write shifts a field in and flushes every
-    whole byte with one int.to_bytes.
+    Fields gather in an integer accumulator, the first written in its
+    most significant bits.  Once it holds _WRITE_BLOCK_BITS bits or
+    more, its whole bytes go out with one int.to_bytes and one
+    bytearray append, and the few bits past the last byte stay behind;
+    so a field costs a shift and an OR, and no bytes object of its own.
     """
+
+    __slots__ = ("_out", "_acc", "_fill")
 
     def __init__(self):
         self._out = bytearray()
-        self._cur = 0
-        self._fill = 0
-        self.bit_length = 0
+        self._acc = 0   # the bits not yet in _out
+        self._fill = 0  # their count
+
+    @property
+    def bit_length(self) -> int:
+        """The number of bits written so far."""
+        return (len(self._out) << 3) + self._fill
 
     def write(self, value: int, nbits: int) -> None:
         if nbits < 0 or value < 0 or (nbits < value.bit_length()):
             raise ValueError("value does not fit the field")
-        self.bit_length += nbits
-        cur = (self._cur << nbits) | value
+        acc = (self._acc << nbits) | value
         fill = self._fill + nbits
-        if fill >= 8:
+        if fill >= _WRITE_BLOCK_BITS:
             rest = fill & 7
-            self._out += (cur >> rest).to_bytes(fill >> 3, "big")
-            cur &= (1 << rest) - 1
+            self._out += (acc >> rest).to_bytes(fill >> 3, "big")
+            acc &= (1 << rest) - 1
             fill = rest
-        self._cur, self._fill = cur, fill
+        self._acc = acc
+        self._fill = fill
 
     def write_trunc(self, value: int, bound: int) -> None:
         """Truncated binary for value in [0, bound); 0 bits when bound is 1."""
@@ -264,43 +283,87 @@ class BitWriter:
             self.write(value + spare, short + 1)
 
     def getvalue(self) -> bytes:
-        out = bytes(self._out)
-        if self._fill:
-            out += bytes([self._cur << (8 - self._fill)])
-        return out
+        """The bits written so far, zero-padded to a whole byte."""
+        fill = self._fill
+        pad = -fill & 7
+        return bytes(self._out) + (self._acc << pad).to_bytes((fill + pad) >> 3, "big")
 
 
 class BitReader:
-    """Most-significant-bit-first bit source over a bytes object."""
+    """Most-significant-bit-first bit source over a bytes object.
+
+    The next stream bits wait in an integer buffer, the first in its
+    most significant bit.  A read takes its field from the top of the
+    buffer with one shift and one mask.  When the buffer holds too few
+    bits, one slice of the data and one int.from_bytes append at least
+    _READ_BLOCK_BYTES bytes below them.  The buffer never holds more
+    than that block plus the field being read, so no read costs more
+    as the payload grows.  pos counts the bits read so far.
+    """
+
+    __slots__ = ("_data", "_next", "_buf", "_avail")
 
     def __init__(self, data: bytes):
         self._data = data
-        self._nbits = len(data) * 8
-        self.pos = 0
+        self._next = 0   # index of the first byte not yet in _buf
+        self._buf = 0    # the next _avail stream bits
+        self._avail = 0
+
+    @property
+    def pos(self) -> int:
+        return (self._next << 3) - self._avail
+
+    def _refill(self, nbits: int) -> int:
+        """Append whole bytes to the buffer, enough for nbits bits if the
+        data has them; returns the bits it then holds."""
+        start = self._next
+        chunk = self._data[start:start + max(_READ_BLOCK_BYTES, (nbits - self._avail + 7) >> 3)]
+        got = len(chunk) << 3
+        self._next = start + len(chunk)
+        self._buf = (self._buf << got) | int.from_bytes(chunk, "big")
+        self._avail += got
+        return self._avail
 
     def read(self, nbits: int) -> int:
-        end = self.pos + nbits
-        if end > self._nbits:
-            raise CorruptStream("payload ended mid-record")
-        if nbits == 0:
-            return 0
-        first = self.pos >> 3
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[first:last], "big")
-        shift = (last << 3) - end
-        self.pos = end
-        return (chunk >> shift) & ((1 << nbits) - 1)
+        avail = self._avail
+        if avail < nbits:
+            avail = self._refill(nbits)
+            if avail < nbits:
+                raise CorruptStream("payload ended mid-record")
+        avail -= nbits
+        buf = self._buf
+        self._buf = buf & ((1 << avail) - 1)
+        self._avail = avail
+        return buf >> avail
 
     def read_trunc(self, bound: int) -> int:
-        """Inverse of BitWriter.write_trunc for the same bound."""
+        """Inverse of BitWriter.write_trunc for the same bound.
+
+        Takes the short + 1 bits a long code would span in one step; a
+        short code gives its last bit back.  Past the end of the data
+        the missing bits read as 0, and the read fails if the code it
+        finds needs any of them.
+        """
         if bound <= 1:
             return 0
-        short = bound.bit_length() - 1
-        spare = (1 << (short + 1)) - bound
-        head = self.read(short) if short else 0
-        if head < spare:
-            return head
-        return ((head << 1) | self.read(1)) - spare
+        nbits = bound.bit_length()  # short + 1
+        spare = (1 << nbits) - bound
+        avail = self._avail
+        if avail < nbits:
+            avail = self._refill(nbits)
+        rest = avail - nbits
+        buf = self._buf
+        code = buf >> rest if rest >= 0 else buf << -rest
+        if code >> 1 < spare:
+            code >>= 1
+            rest += 1
+        else:
+            code -= spare
+        if rest < 0:
+            raise CorruptStream("payload ended mid-record")
+        self._buf = buf & ((1 << rest) - 1)
+        self._avail = rest
+        return code
 
 
 # -- LZ78 ---------------------------------------------------------------
@@ -453,33 +516,37 @@ class _CodeletLog(_EventLog):
     """The idealized coder's events: per phrase, the LevelNode written,
     or None for an escape.
 
-    A read takes pos from prefix sums of the phrase lengths, made on
-    the first read; x_bits from x.window; y_bits from the codelet's
-    bits, or the x bits of an escape.  Reads window x alone, so reading
-    events in order copies x's bytes once.
+    A read takes pos from prefix sums of the phrase lengths, and x_bits
+    from a little-endian byte copy of x's value, both made on the first
+    read and kept by this log; y_bits from the codelet's bits, or the x
+    bits of an escape.  So a log copies x's bytes once, however its
+    reads interleave with other logs' reads or other windows of x.
     """
 
-    __slots__ = ("_x", "_ell", "_starts")
+    __slots__ = ("_x", "_ell", "_starts", "_x_bytes")
 
     def __init__(self, x: BitSequence, ell: int, nodes: List[Optional[LevelNode]]):
         super().__init__(nodes)
         self._x = x
         self._ell = ell
         self._starts: Optional[List[int]] = None
+        self._x_bytes = b""
 
     def _event(self, i: int) -> ParseEvent:
         starts = self._starts
         if starts is None:
-            ell = self._ell
+            ell, x = self._ell, self._x
             # an escape spans ell bits, a codelet ell per level; only a
             # final escape may be shorter, and the last phrase ends at n
             starts = list(accumulate((ell if node is None else ell * node.level
                                       for node in self._records), initial=0))
-            starts[-1] = self._x.length
+            starts[-1] = x.length
             self._starts = starts
+            self._x_bytes = x.value.to_bytes((x.length >> 3) + 1, "little")
         pos = starts[i]
         length = starts[i + 1] - pos
-        x_value = self._x.window(pos, length)
+        chunk = int.from_bytes(self._x_bytes[pos >> 3:((pos + length) >> 3) + 1], "little")
+        x_value = (chunk >> (pos & 7)) & ((1 << length) - 1)
         x_bits = BitSequence(x_value, length)
         node = self._records[i]
         if node is None:

@@ -71,6 +71,66 @@ class _RefWriter:
                      for i in range(0, len(padded), 8))
 
 
+class _RefReader:
+    """BitReader's contract one bit at a time over a list of 0s and 1s."""
+
+    def __init__(self, data):
+        self.bits = [(byte >> (7 - j)) & 1 for byte in data for j in range(8)]
+        self.pos = 0
+
+    def read(self, nbits):
+        if self.pos + nbits > len(self.bits):
+            raise CorruptStream("payload ended mid-record")
+        value = 0
+        for bit in self.bits[self.pos:self.pos + nbits]:
+            value = (value << 1) | bit
+        self.pos += nbits
+        return value
+
+    def read_trunc(self, bound):
+        if bound <= 1:
+            return 0
+        short = bound.bit_length() - 1
+        spare = (1 << (short + 1)) - bound
+        head = self.read(short)
+        if head < spare:
+            return head
+        return ((head << 1) | self.read(1)) - spare
+
+
+def _assert_reads_match_reference(data, ops):
+    """BitReader and _RefReader agree on each call's value and the pos
+    after it, and on the first call that runs past the end; nothing is
+    read after that call."""
+    r, ref = BitReader(data), _RefReader(data)
+    for op, arg in ops:
+        try:
+            want = getattr(ref, op)(arg)
+        except CorruptStream:
+            with pytest.raises(CorruptStream):
+                getattr(r, op)(arg)
+            return
+        assert getattr(r, op)(arg) == want, (op, arg)
+        assert r.pos == ref.pos
+
+
+@st.composite
+def _reads(draw):
+    """One ("read", width) or ("read_trunc", bound) call.
+
+    Most widths are field-sized, and some reach past a 16-byte refill
+    block; bounds reach 2^20, and powers of two and their neighbours,
+    where the short code is longest or shortest, come up often.
+    """
+    if draw(st.booleans()):
+        return "read", draw(st.one_of(st.integers(min_value=0, max_value=24),
+                                      st.integers(min_value=100, max_value=300)))
+    k = draw(st.integers(min_value=0, max_value=20))
+    bound = draw(st.one_of(st.integers(min_value=1, max_value=1 << 20),
+                           st.sampled_from(((1 << k) - 1, 1 << k, (1 << k) + 1))))
+    return "read_trunc", max(bound, 1)
+
+
 @st.composite
 def _writes(draw):
     """One ("write", value, width) or ("write_trunc", value, bound) call."""
@@ -118,6 +178,28 @@ class TestBitIO:
         r.read(8)
         with pytest.raises(CorruptStream):
             r.read(1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.one_of(st.binary(max_size=16),
+                     st.integers(0, 160).flatmap(lambda k: st.binary(min_size=k, max_size=k))),
+           st.lists(_reads(), max_size=60))
+    def test_reader_matches_bit_by_bit_reference(self, data, ops):
+        _assert_reads_match_reference(data, ops)
+
+    def test_last_call_ends_at_or_just_past_the_end(self):
+        # after a skip of every length, a call that ends one bit short
+        # of the data, on it, or one or two bits past it
+        data = bytes(range(101, 121))  # 160 bits: one 16-byte block and more
+        total = 8 * len(data)
+        for skip in range(total + 1):
+            left = total - skip
+            for end in (left - 1, left, left + 1, left + 2):
+                if end >= 0:
+                    _assert_reads_match_reference(data, [("read", skip), ("read", end)])
+                    for bound in ((1 << end) - 1, 1 << end, (1 << end) + 1):
+                        if 1 <= bound <= 1 << 20:
+                            _assert_reads_match_reference(
+                                data, [("read", skip), ("read_trunc", bound)])
 
     def test_trunc_exhaustive_inverse(self):
         for bound in range(1, 65):
@@ -210,6 +292,16 @@ class TestLz78:
         start = time.process_time()
         lz78_encode(y)
         assert time.process_time() - start < 5.0
+
+    def test_decode_is_linear_in_n(self):
+        # the buffered reader decodes this in ~0.2 s of process time on a
+        # 2-CPU Xeon; one whose buffer held the whole payload took ~5.5 s
+        y = bernoulli(np.random.default_rng(3), 1 << 20, 0.5)
+        payload, _ = lz78_encode(y)
+        start = time.process_time()
+        got = lz78_decode(payload, y.length)
+        assert time.process_time() - start < 2.0
+        assert got == y
 
     def test_reference_vector(self):
         # y = 0101 parses as (0)(1)(01): flag 0, then 0 | 0,1 | 01,1
@@ -558,6 +650,16 @@ class TestIdealizedCoder:
         assert res.stream.header.src is None
         assert decode(res.stream) == res.y
 
+    def test_decode_is_linear_in_n(self):
+        # ~0.3 s of process time on a 2-CPU Xeon; a reader whose buffer
+        # held the whole payload took ~1.9 s
+        x = bernoulli(np.random.default_rng(3), 1 << 20, 0.5)
+        res = encode_idealized(x, Fraction(11, 100), Fraction(1, 2))
+        start = time.process_time()
+        got = decode(res.stream)
+        assert time.process_time() - start < 1.5
+        assert got == res.y
+
     def test_distortion_budget_holds(self):
         rng = np.random.default_rng(33)
         for _ in range(40):
@@ -863,6 +965,27 @@ class TestEventLog:
         finally:
             tracemalloc.stop()
         assert peak / res.stats.phrases < 350
+
+    def test_idealized_logs_read_in_step_copy_x_once_each(self):
+        # each log windows x from a byte copy of its own, so reading two
+        # logs in step copies each x once, not once per event
+        copies = []
+
+        class CountingInt(int):
+            def to_bytes(self, *args, **kwargs):
+                copies.append(self)
+                return super().to_bytes(*args, **kwargs)
+
+        logs, plain = [], []
+        for seed in (1, 2):
+            x = bernoulli(np.random.default_rng(seed), 1 << 12, 0.5)
+            res = encode_idealized(BitSequence(CountingInt(x.value), x.length),
+                                   Fraction(11, 100), Fraction(1, 2))
+            logs.append(res.events)
+            plain.append(list(encode_idealized(x, Fraction(11, 100), Fraction(1, 2)).events))
+        copies.clear()
+        assert [list(pair) for pair in zip(*logs)] == [list(pair) for pair in zip(*plain)]
+        assert len(copies) == 2
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(coded_inputs(), st.integers(-310, 310), st.integers(-310, 310),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from clp.bits import bernoulli
 from clp.cli import EXIT_CORRUPT, EXIT_OK, main
-from clp.codec import VARIANT_IDEALIZED, Header, decode, encode_idealized, encode_practical
+from clp.codec import Header, decode, encode_idealized, encode_practical
 from clp.dictionary import LevelConfig
 from clp.errors import CorruptStream
 from clp.matching import MatchRelation
@@ -91,15 +91,13 @@ def test_mutated_stream_decodes_or_is_corrupt(case):
     assert _cli_decode(data) == (EXIT_CORRUPT if default is None else EXIT_OK)
 
 
-def test_idealized_streams_cut_at_every_byte():
-    # every prefix of both idealized streams, from the empty string to
-    # the whole stream: a cut inside the header and a cut inside the
-    # payload must each end in CorruptStream or a full-length y
-    idealized = [(raw, cfg) for raw, cfg in STREAMS
-                 if Header.unpack(raw).variant == VARIANT_IDEALIZED]
-    assert len(idealized) == 2
+def test_streams_cut_at_every_byte():
+    # every prefix of all four streams, from the empty string to the
+    # whole stream: a cut inside the header and a cut inside the payload
+    # must each end in CorruptStream or a full-length y, both for the
+    # LZ78 records of the practical coder and the slots of the idealized
     start = time.process_time()
-    for raw, cfg in idealized:
+    for raw, cfg in STREAMS:
         n = Header.unpack(raw).n
         for end in range(len(raw) + 1):
             got = _decoded_length(raw[:end], cfg)
