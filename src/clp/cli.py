@@ -103,6 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--config", default=None, metavar="FILE",
                      help="flat key = value experiment settings")
     ana.add_argument("--out", default=None, metavar="CSV")
+    ana.add_argument("--timings", action="store_true",
+                     help="print each check's elapsed seconds and sample count to stderr")
     return parser
 
 
@@ -176,6 +178,10 @@ def _write_reports(reports: List[LemmaReport], out: Optional[str]) -> None:
                              "pass" if r.passed else "fail"])
 
 
+def _print_timing(name: str, report: LemmaReport, seconds: float) -> None:
+    print(f"timing {name}: {seconds:.3f} s, {report.samples} samples", file=sys.stderr)
+
+
 def _cmd_analyze(args) -> int:
     cfg = ExperimentConfig.from_file(args.config) if args.config else ExperimentConfig()
     names = tuple(t.strip() for t in args.check.split(",") if t.strip())
@@ -194,7 +200,7 @@ def _cmd_analyze(args) -> int:
             print(f"wrote {len(rows)} rows to {out}")
         return EXIT_OK
     cfg = replace(cfg, checks=names, out=out)
-    reports = run_checks(cfg)
+    reports = run_checks(cfg, _print_timing if args.timings else None)
     _write_reports(reports, out)
     for r in reports:
         print(r.summary())

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -503,14 +503,14 @@ def check_cycle_lemma(cfg: ExperimentConfig) -> LemmaReport:
     lengths = range(2, 17)
     biases = (Fraction(3, 10), Fraction(1, 2))
     budgets = (Fraction(1, 10), Fraction(1, 4), Fraction(1, 2))
+    targets = {(p, d): target_reproduction_type(p, d) for p in biases for d in budgets}
     worst = None
     worst_margin = None
     cells = 0
     for L in lengths:
         for p in biases:
             for d in budgets:
-                q = target_reproduction_type(p, d)
-                y = canonical_type_sequence(L, q)
+                y = canonical_type_sequence(L, targets[p, d])
                 prob = match_probability_exact(y, d, p)
                 low = cycle_lemma_lower_bound_exact(y, d, p)
                 margin = prob - low
@@ -596,21 +596,45 @@ def check_short_phrases(cfg: ExperimentConfig) -> LemmaReport:
         })
 
 
-def _weighted_mask_sum(mask: int, class_masks: List[int], weights: List[int]) -> int:
-    """Exact numerator of the source mass carried by a member bitmask."""
-    total = 0
-    for k, cmask in enumerate(class_masks):
-        hits = (mask & cmask).bit_count()
-        if hits:
-            total += hits * weights[k]
+_POP8 = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
+
+
+def _ones(v: np.ndarray) -> np.ndarray:
+    """The ones count of each value below 2^16."""
+    return _POP8[v & 255] + _POP8[v >> 8]
+
+
+def _unordered(a: np.ndarray, b: np.ndarray, n: int):
+    """The distinct unordered pairs among the index pairs (a, b) below n,
+    as (low, high); where each pair lies among them; how often each occurs."""
+    keys, inverse, mult = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                    return_inverse=True, return_counts=True)
+    return (*np.divmod(keys, n), inverse.reshape(-1), mult)
+
+
+def _pair_masses(base: np.ndarray, centers: Sequence[int], lo: np.ndarray, hi: np.ndarray,
+                 weights: List[int], dtype) -> np.ndarray:
+    """Exact source-mass numerators of B(centers[i]) & B(centers[j]) for
+    the pairs (i, j) of lo and hi, where x lies in B(c) iff base[x ^ c].
+    Only the balls some pair uses are built, one gather and packbits per
+    ones class.  The points of a class share a weight, so a mass is the
+    intersection's point count per class dotted with the weights."""
+    used = np.zeros(len(centers), dtype=bool)
+    used[lo] = used[hi] = True
+    built = np.cumsum(used) - 1  # the row of each used ball among those built
+    ia, ib = built[lo], built[hi]
+    pts = np.arange(base.size, dtype=np.uint16)
+    ones = _ones(pts)
+    cs = np.asarray(centers, dtype=np.uint16)[used, None]
+    total = np.zeros(len(lo), dtype=dtype)
+    for k, weight in enumerate(weights):
+        packed = np.packbits(base[pts[ones == k] ^ cs], axis=1)  # the used balls on class k
+        step = max(1, (1 << 16) // packed.shape[1])  # pairs per block of about 64 kB
+        for s in range(0, len(ia), step):
+            both = packed.take(ia[s:s + step], axis=0)
+            both &= packed.take(ib[s:s + step], axis=0)
+            total[s:s + step] += _POP8[both].sum(axis=1, dtype=np.uint16).astype(dtype) * weight
     return total
-
-
-def _ones_class_masks(length: int) -> List[int]:
-    masks = [0] * (length + 1)
-    for v in range(1 << length):
-        masks[v.bit_count()] |= 1 << v
-    return masks
 
 
 def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
@@ -623,6 +647,11 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
     extension ratio p_{L+ell}/p_L.  All masses are exact rationals;
     identical pairs realize the ratio with equality.  Exhaustive over
     all same-type pairs and extensions when that stays small.
+
+    Both balls are translates: x lies in the ball of c iff x ^ c lies
+    in the ball of 0, so each ball is one gather of a base indicator.
+    Intersection masses are symmetric, so each is computed once per
+    unordered pair; the level-L mass depends on (y, y~) alone.
     """
     ell = cfg.step
     depth = cfg.depth * 2 if cfg.depth * 2 + ell <= 16 else cfg.depth
@@ -639,73 +668,52 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
     pn, pd = cfg.p.numerator, cfg.p.denominator
     w_lo = [pn ** k * (pd - pn) ** (depth - k) for k in range(depth + 1)]
     w_hi = [pn ** k * (pd - pn) ** (full - k) for k in range(full + 1)]
-    cm_lo = _ones_class_masks(depth)
-    cm_hi = _ones_class_masks(full)
-
-    low_mask = (1 << depth) - 1
-    balls = {y: sum(1 << x for x in range(1 << depth)
-                    if (x ^ y).bit_count() <= r_lo) for y in centers}
-
-    def extended_mask(y: int, e: int) -> int:
-        center = y | (e << depth)
-        out = 0
-        for x in range(1 << full):
-            if ((x ^ center) & low_mask).bit_count() <= r_lo \
-                    and (x ^ center).bit_count() <= r_hi:
-                out |= 1 << x
-        return out
-
-    ext_masks = {}
-    for y in centers:
-        for e in exts:
-            ext_masks[(y, e)] = extended_mask(y, e)
+    pts = np.arange(1 << full, dtype=np.uint16)
+    base_hi = (_ones(pts & ((1 << depth) - 1)) <= r_lo) & (_ones(pts) <= r_hi)
+    base_lo = _ones(pts[:1 << depth]) <= r_lo
+    rows = [y | e << depth for y in centers for e in exts]  # row y * len(exts) + e
+    # a mass at length L is at most pd^L, so int64 is exact while every
+    # product of two masses below is
+    exact = np.int64 if pd ** (full + depth) < 1 << 63 else object
 
     # ratio p_{L+ell}/p_L as exact integers: C/(pd^full) over E/(pd^depth)
-    canon_y = centers[0]
-    canon_e = exts[0]
-    num_hi = _weighted_mask_sum(ext_masks[(canon_y, canon_e)], cm_hi, w_hi)
-    num_lo = _weighted_mask_sum(balls[canon_y], cm_lo, w_lo)
+    canon = np.zeros(1, dtype=np.int64)
+    num_hi = int(_pair_masses(base_hi, rows, canon, canon, w_hi, exact)[0])
+    num_lo = int(_pair_masses(base_lo, centers, canon, canon, w_lo, exact)[0])
     if num_lo == 0:
         raise ValueError("level ball carries no mass; degenerate cell")
 
-    total_pairs = len(centers) ** 2 * len(exts) ** 2
+    total_pairs = len(rows) ** 2
     exhaustive = total_pairs <= 30000
     rng = _rng(cfg.seed, 9)
     if exhaustive:
-        pair_iter = ((y, yt, e, et) for y in centers for yt in centers
-                     for e in exts for et in exts)
         samples = total_pairs
+        lo, hi = np.triu_indices(len(rows))
+        first_pair, mult = 0, np.where(lo == hi, 1, 2)
     else:
         samples = max(100, min(cfg.trials, 5000))
-        pair_iter = ((centers[int(rng.integers(len(centers)))],
-                      centers[int(rng.integers(len(centers)))],
-                      exts[int(rng.integers(len(exts)))],
-                      exts[int(rng.integers(len(exts)))])
-                     for _ in range(samples))
+        y, yt, e, et = np.array([[rng.integers(len(centers)), rng.integers(len(centers)),
+                                  rng.integers(len(exts)), rng.integers(len(exts))]
+                                 for _ in range(samples)], dtype=np.int64).T
+        lo, hi, inverse, mult = _unordered(y * len(exts) + e, yt * len(exts) + et, len(rows))
+        first_pair = inverse[0]
 
-    violations = 0
-    worst = -math.inf
-    identity_ok = True
-    denom = float(pd) ** full
-    for y, yt, e, et in pair_iter:
-        lhs_num = _weighted_mask_sum(ext_masks[(y, e)] & ext_masks[(yt, et)], cm_hi, w_hi)
-        inter_num = _weighted_mask_sum(balls[y] & balls[yt], cm_lo, w_lo)
-        # lhs/pd^full  vs  (inter/pd^depth) * (num_hi/pd^full) / (num_lo/pd^depth)
-        lhs_scaled = lhs_num * num_lo
-        rhs_scaled = inter_num * num_hi
-        if lhs_scaled > rhs_scaled:
-            violations += 1
-        if y == yt and e == et and lhs_scaled != rhs_scaled:
-            identity_ok = False
-        margin = (lhs_scaled - rhs_scaled) / (num_lo * denom)
-        if margin > worst:
-            worst = margin
+    # per unordered pair: lhs/pd^full  vs  (inter/pd^depth) * (num_hi/pd^full)
+    # / (num_lo/pd^depth), where inter depends on (y, y~) alone
+    y_lo, y_hi, of_y, _ = _unordered(lo // len(exts), hi // len(exts), len(centers))
+    inter = _pair_masses(base_lo, centers, y_lo, y_hi, w_lo, exact)[of_y]
+    excess = _pair_masses(base_hi, rows, lo, hi, w_hi, exact) * num_lo - inter * num_hi
+    scale = num_lo * float(pd) ** full
+    # the pair-by-pair running maximum, bit for bit: the first pair wins ties (signed
+    # zeros when scale is inf); the least excess raises OverflowError as any would
+    first, most, least = (int(excess[i]) for i in (first_pair, excess.argmax(), excess.argmin()))
+    worst = max(first / scale, most / scale, least / scale)
     return _report(
         "ball-intersection", worst, 0.0, samples, 0.0, "le",
         {
             "depth": depth, "ell": ell, "exhaustive": exhaustive,
-            "violations": violations, "pairs": samples,
-            "identity_on_identical_pairs": identity_ok,
+            "violations": int(mult[excess > 0].sum()), "pairs": samples,
+            "identity_on_identical_pairs": bool(np.all(excess[lo == hi] == 0)),
             "ratio": f"{num_hi}/{num_lo} (common denominator scaled)",
             "p": str(cfg.p), "D": str(cfg.dist),
         })
@@ -786,8 +794,9 @@ CHECKS = {
 }
 
 
-def run_checks(cfg: ExperimentConfig) -> List[LemmaReport]:
-    """Run the configured subset of checks (or all of them)."""
+def run_checks(cfg: ExperimentConfig, on_report: Optional[Callable] = None) -> List[LemmaReport]:
+    """Run the configured subset of checks (or all of them); on_report,
+    when given, gets each check's name, report and wall seconds."""
     wanted = cfg.checks
     if "all" in wanted:
         names = list(CHECKS)
@@ -796,7 +805,13 @@ def run_checks(cfg: ExperimentConfig) -> List[LemmaReport]:
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         names = list(wanted)
-    return [CHECKS[name](cfg) for name in names]
+    reports = []
+    for name in names:
+        t0 = time.perf_counter()
+        reports.append(CHECKS[name](cfg))
+        if on_report is not None:
+            on_report(name, reports[-1], time.perf_counter() - t0)
+    return reports
 
 
 # -- rate experiments -------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command line behavior: plumbing, formats, and exit codes."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -148,6 +149,23 @@ class TestAnalyze:
             assert next(reader) == REPORT_COLUMNS
             row = next(reader)
             assert row[0] == "cycle-lemma" and row[-1] == "pass"
+
+    def test_timings_go_to_stderr_only(self, tmp_path, capsys):
+        outputs = []
+        for flags in ((), ("--timings",)):
+            out = tmp_path / f"reports{len(flags)}.csv"
+            code = run("analyze", "--check", "cycle_lemma,ball_intersection",
+                       "--out", out, *flags)
+            captured = capsys.readouterr()
+            outputs.append((code, captured.out.replace(str(out), "CSV"), out.read_text(),
+                            captured.err))
+        (code, stdout, csv_text, err), (t_code, t_stdout, t_csv_text, t_err) = outputs
+        assert (t_code, t_stdout, t_csv_text) == (code, stdout, csv_text) and code == EXIT_OK
+        assert err == ""
+        lines = t_err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "timing cycle_lemma", "timing ball_intersection"]
+        assert re.fullmatch(r"timing ball_intersection: \d+\.\d{3} s, 19600 samples", lines[1])
 
     def test_unknown_check(self):
         assert run("analyze", "--check", "no_such_thing") == EXIT_USAGE

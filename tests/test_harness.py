@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,90 @@ from clp.harness import (
     run_checks,
     sweep_step,
 )
+from clp.rd_math import target_reproduction_type
+
+
+def reference_ball_intersection(cfg):
+    """check_ball_intersection as it was first written: every ball built
+    point by point as a bitmask, every mass summed pair by pair."""
+    ell = cfg.step
+    depth = cfg.depth * 2 if cfg.depth * 2 + ell <= 16 else cfg.depth
+    full = depth + ell
+    if full > 16:
+        raise ValueError("cell too large for exhaustive enumeration")
+    q = target_reproduction_type(cfg.p, cfg.dist)
+    unrealizable = f"type {q} not realizable at lengths {depth}, {ell}"
+    centers = harness._type_class(q, depth, unrealizable)
+    exts = harness._type_class(q, ell, unrealizable)
+    r_lo = harness._ball_radius(cfg.dist, depth)
+    r_hi = harness._ball_radius(cfg.dist, full)
+
+    pn, pd = cfg.p.numerator, cfg.p.denominator
+    w_lo = [pn ** k * (pd - pn) ** (depth - k) for k in range(depth + 1)]
+    w_hi = [pn ** k * (pd - pn) ** (full - k) for k in range(full + 1)]
+
+    def class_masks(length):
+        masks = [0] * (length + 1)
+        for v in range(1 << length):
+            masks[v.bit_count()] |= 1 << v
+        return masks
+
+    def mass(mask, cmasks, weights):
+        return sum((mask & cm).bit_count() * w for cm, w in zip(cmasks, weights))
+
+    cm_lo, cm_hi = class_masks(depth), class_masks(full)
+    low_mask = (1 << depth) - 1
+    balls = {y: sum(1 << x for x in range(1 << depth)
+                    if (x ^ y).bit_count() <= r_lo) for y in centers}
+
+    def extended_mask(y, e):
+        center = y | (e << depth)
+        return sum(1 << x for x in range(1 << full)
+                   if ((x ^ center) & low_mask).bit_count() <= r_lo
+                   and (x ^ center).bit_count() <= r_hi)
+
+    ext_masks = {(y, e): extended_mask(y, e) for y in centers for e in exts}
+    num_hi = mass(ext_masks[(centers[0], exts[0])], cm_hi, w_hi)
+    num_lo = mass(balls[centers[0]], cm_lo, w_lo)
+    if num_lo == 0:
+        raise ValueError("level ball carries no mass; degenerate cell")
+
+    total_pairs = len(centers) ** 2 * len(exts) ** 2
+    exhaustive = total_pairs <= 30000
+    rng = harness._rng(cfg.seed, 9)
+    if exhaustive:
+        pair_iter = ((y, yt, e, et) for y in centers for yt in centers
+                     for e in exts for et in exts)
+        samples = total_pairs
+    else:
+        samples = max(100, min(cfg.trials, 5000))
+        pair_iter = ((centers[int(rng.integers(len(centers)))],
+                      centers[int(rng.integers(len(centers)))],
+                      exts[int(rng.integers(len(exts)))],
+                      exts[int(rng.integers(len(exts)))])
+                     for _ in range(samples))
+
+    violations = 0
+    worst = -math.inf
+    identity_ok = True
+    denom = float(pd) ** full
+    for y, yt, e, et in pair_iter:
+        lhs_scaled = mass(ext_masks[(y, e)] & ext_masks[(yt, et)], cm_hi, w_hi) * num_lo
+        rhs_scaled = mass(balls[y] & balls[yt], cm_lo, w_lo) * num_hi
+        if lhs_scaled > rhs_scaled:
+            violations += 1
+        if y == yt and e == et and lhs_scaled != rhs_scaled:
+            identity_ok = False
+        worst = max(worst, (lhs_scaled - rhs_scaled) / (num_lo * denom))
+    return harness._report(
+        "ball-intersection", worst, 0.0, samples, 0.0, "le",
+        {
+            "depth": depth, "ell": ell, "exhaustive": exhaustive,
+            "violations": violations, "pairs": samples,
+            "identity_on_identical_pairs": identity_ok,
+            "ratio": f"{num_hi}/{num_lo} (common denominator scaled)",
+            "p": str(cfg.p), "D": str(cfg.dist),
+        })
 
 
 def small_cfg(**kw):
@@ -191,6 +276,29 @@ class TestIndividualChecks:
         r = check_ball_intersection(small_cfg(depth=2))
         assert r.passed and r.estimate == 0.0
         assert r.details["identity_on_identical_pairs"] is True
+
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(),  # exhaustive, 19,600 pairs
+        small_cfg(depth=2),  # exhaustive, 144 pairs
+        ExperimentConfig(ell=4, depth=4),  # sampled, 5000 draws
+        # sampled, and the worst margin (< 0) depends on which pairs are drawn
+        ExperimentConfig(dist=Fraction(9, 20), depth=5, trials=100, seed=4),
+        ExperimentConfig(p=Fraction(2, 5), dist=Fraction(1, 5), ell=3, depth=3),  # weights != 1
+        # masses whose products pass int64
+        ExperimentConfig(p=Fraction(1, 4) + Fraction(1, 2 ** 45), dist=Fraction(1, 2 ** 44), ell=4),
+        ExperimentConfig(p=Fraction(3, 10), dist=Fraction(1, 10), ell=3),  # extension unrealizable
+        ExperimentConfig(p=Fraction(3, 10), dist=Fraction(1, 10), depth=3),  # center unrealizable
+        ExperimentConfig(depth=15),  # full > 16
+    ])
+    def test_ball_intersection_matches_reference(self, cfg):
+        def outcome(check):
+            try:
+                return dataclasses.asdict(check(cfg))
+            except Exception as exc:
+                return type(exc), str(exc)
+        new, ref = outcome(check_ball_intersection), outcome(reference_ball_intersection)
+        # repr tells apart float bits (signed zeros) and numpy scalars from Python ones
+        assert new == ref and repr(new) == repr(ref)
 
     def test_frontier_small_scale(self):
         r = check_frontier_growth(ExperimentConfig(n_values=(1024,), trials=30,
