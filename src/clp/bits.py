@@ -3,12 +3,13 @@
 A BitSequence stores its symbols in one arbitrary-precision integer,
 64-symbol words at a time in effect: symbol i is bit i of ``value``
 (little-endian within the integer).  Distances reduce to XOR plus
-popcount.  A window is read from a little-endian byte copy of
-``value``, made once per sequence, so it costs O(width) rather than a
-shift of all n bits.  Iteration and the string and bit-list
-conversions likewise go through one byte or digit copy, so each is
-linear in n.  File bytes are interpreted MSB-first, so byte 0x80 is
-the sequence "10000000".
+popcount.  A window is read from a little-endian byte view of
+``value`` that the sequence makes on its first window and keeps, so it
+costs O(width) rather than a shift of all n bits; the view holds
+n/8 + 1 bytes for as long as the sequence lives.  Iteration and the
+string and bit-list conversions go through a transient byte or digit
+copy, so each is linear in n.  File bytes are interpreted MSB-first,
+so byte 0x80 is the sequence "10000000".
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ from typing import Iterable, Iterator, List, Tuple
 import numpy as np
 
 __all__ = ["BitSequence", "concat_bits", "bernoulli"]
-
-# The value window() last read and its little-endian bytes.  It is
-# matched by identity; holding the int keeps that identity from being
-# reused.  Two sequences may share one int object: bits past either
-# length are zero, so the same bytes serve both.  It lives here, not in
-# a slot, because a third slot would grow every BitSequence, and a list
-# of a coder's parse events holds two per phrase.
-_window_bytes: Tuple[int, bytes] = (0, b"")
 
 # the bits of each byte value, least significant first
 _BYTE_BITS = [tuple((byte >> j) & 1 for j in range(8)) for byte in range(256)]
@@ -43,7 +36,8 @@ def _pack_little(flags: np.ndarray) -> int:
 class BitSequence:
     """Immutable packed bit string; index 0 is the first symbol."""
 
-    __slots__ = ("value", "length")
+    # _bytes, the byte view window() reads, is set on the first window
+    __slots__ = ("value", "length", "_bytes")
 
     def __init__(self, value: int, length: int):
         if length < 0:
@@ -154,18 +148,17 @@ class BitSequence:
         """Raw integer view of up to ``width`` bits from ``start``.
 
         Reads only the bytes under the window, so a parse that walks a
-        long sequence costs O(width) per call once the byte copy of
-        ``value`` exists.
+        long sequence costs O(width) per call once the sequence's byte
+        view of ``value`` exists.
         """
-        global _window_bytes
         width = min(width, self.length - start)
         if start < 0 or width < 0:
             raise ValueError("window outside the sequence")
-        value, buf = _window_bytes
-        if value is not self.value:
-            value = self.value
-            buf = value.to_bytes((self.length >> 3) + 1, "little")
-            _window_bytes = (value, buf)
+        try:
+            buf = self._bytes
+        except AttributeError:
+            buf = self.value.to_bytes((self.length >> 3) + 1, "little")
+            object.__setattr__(self, "_bytes", buf)
         chunk = int.from_bytes(buf[start >> 3:((start + width) >> 3) + 1], "little")
         return (chunk >> (start & 7)) & ((1 << width) - 1)
 

@@ -516,21 +516,19 @@ class _CodeletLog(_EventLog):
     """The idealized coder's events: per phrase, the LevelNode written,
     or None for an escape.
 
-    A read takes pos from prefix sums of the phrase lengths, and x_bits
-    from a little-endian byte copy of x's value, both made on the first
-    read and kept by this log; y_bits from the codelet's bits, or the x
-    bits of an escape.  So a log copies x's bytes once, however its
-    reads interleave with other logs' reads or other windows of x.
+    A read takes pos from prefix sums of the phrase lengths, made on the
+    first read and kept by this log; x_bits from x.window, which reads
+    the byte view x keeps; y_bits from the codelet's bits, or the x bits
+    of an escape.
     """
 
-    __slots__ = ("_x", "_ell", "_starts", "_x_bytes")
+    __slots__ = ("_x", "_ell", "_starts")
 
     def __init__(self, x: BitSequence, ell: int, nodes: List[Optional[LevelNode]]):
         super().__init__(nodes)
         self._x = x
         self._ell = ell
         self._starts: Optional[List[int]] = None
-        self._x_bytes = b""
 
     def _event(self, i: int) -> ParseEvent:
         starts = self._starts
@@ -542,11 +540,9 @@ class _CodeletLog(_EventLog):
                                       for node in self._records), initial=0))
             starts[-1] = x.length
             self._starts = starts
-            self._x_bytes = x.value.to_bytes((x.length >> 3) + 1, "little")
         pos = starts[i]
         length = starts[i + 1] - pos
-        chunk = int.from_bytes(self._x_bytes[pos >> 3:((pos + length) >> 3) + 1], "little")
-        x_value = (chunk >> (pos & 7)) & ((1 << length) - 1)
+        x_value = self._x.window(pos, length)
         x_bits = BitSequence(x_value, length)
         node = self._records[i]
         if node is None:

@@ -685,13 +685,13 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
 
     total_pairs = len(rows) ** 2
     exhaustive = total_pairs <= 30000
-    rng = _rng(cfg.seed, 9)
     if exhaustive:
         samples = total_pairs
         lo, hi = np.triu_indices(len(rows))
         first_pair, mult = 0, np.where(lo == hi, 1, 2)
     else:
         samples = max(100, min(cfg.trials, 5000))
+        rng = _rng(cfg.seed, 9)
         y, yt, e, et = np.array([[rng.integers(len(centers)), rng.integers(len(centers)),
                                   rng.integers(len(exts)), rng.integers(len(exts))]
                                  for _ in range(samples)], dtype=np.int64).T

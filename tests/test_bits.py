@@ -1,5 +1,7 @@
 """Packed bit sequence tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,9 +89,46 @@ def test_window_on_sequences_sharing_one_value():
     short = BitSequence(value, 201)
     assert long.value is short.value
     for first, second in ((short, long), (long, short)):
-        first.window(0, 1)  # the byte copy now comes from `first`
+        first.window(0, 1)  # `first` keeps a byte view of its own length
         for start in range(0, second.length + 1, 3):
             assert second.window(start, 70) == shift_and_mask(second, start, 70)
+
+
+def counting_int_type(copies: list) -> type:
+    """An int subclass whose to_bytes appends the int to ``copies``."""
+    class CountingInt(int):
+        def to_bytes(self, *args, **kwargs):
+            copies.append(self)
+            return super().to_bytes(*args, **kwargs)
+    return CountingInt
+
+
+def test_sequences_windowed_in_turn_copy_their_bytes_once_each():
+    # each sequence keeps its own byte view, so two long sequences
+    # windowed in turn copy each value once, not once per window
+    copies = []
+    counting_int = counting_int_type(copies)
+    rng = np.random.default_rng(3)
+    seqs = [bernoulli(rng, 1 << 16, 0.5) for _ in range(2)]
+    counted = [BitSequence(counting_int(s.value), s.length) for s in seqs]
+    for start in range(0, 1 << 16, 661):  # 100 starts
+        for s, c in zip(seqs, counted):
+            assert c.window(start, 40) == shift_and_mask(s, start, 40)
+    assert [id(v) for v in copies] == [id(c.value) for c in counted]
+
+
+def test_windowed_sequence_pickles_without_its_byte_view():
+    s = bernoulli(np.random.default_rng(7), 1000, 0.5)
+    s.window(0, 1)  # make the byte view
+    data = pickle.dumps(s)
+    assert data == pickle.dumps(BitSequence(s.value, s.length))
+    t = pickle.loads(data)
+    assert t == s and hash(t) == hash(s)
+    for start in range(0, t.length + 1, 13):
+        assert t.window(start, 70) == shift_and_mask(s, start, 70)
+    for seq in (s, t):
+        with pytest.raises(AttributeError):
+            seq._bytes = b""
 
 
 @pytest.mark.parametrize("lengths", [range(71), [2**16 + 3]], ids=["0-70", "2^16+3"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_bits import counting_int_type
 
 from clp import codec
 from clp.bits import BitSequence, bernoulli
@@ -967,25 +968,19 @@ class TestEventLog:
         assert peak / res.stats.phrases < 350
 
     def test_idealized_logs_read_in_step_copy_x_once_each(self):
-        # each log windows x from a byte copy of its own, so reading two
-        # logs in step copies each x once, not once per event
+        # the encoder and the log both window x through the byte view x
+        # keeps, so encoding two inputs and reading their logs in step
+        # copies each x once in all, not once per event
         copies = []
-
-        class CountingInt(int):
-            def to_bytes(self, *args, **kwargs):
-                copies.append(self)
-                return super().to_bytes(*args, **kwargs)
-
-        logs, plain = [], []
+        counting_int = counting_int_type(copies)
+        logs, plain, counted = [], [], []
         for seed in (1, 2):
             x = bernoulli(np.random.default_rng(seed), 1 << 12, 0.5)
-            res = encode_idealized(BitSequence(CountingInt(x.value), x.length),
-                                   Fraction(11, 100), Fraction(1, 2))
-            logs.append(res.events)
+            counted.append(BitSequence(counting_int(x.value), x.length))
+            logs.append(encode_idealized(counted[-1], Fraction(11, 100), Fraction(1, 2)).events)
             plain.append(list(encode_idealized(x, Fraction(11, 100), Fraction(1, 2)).events))
-        copies.clear()
         assert [list(pair) for pair in zip(*logs)] == [list(pair) for pair in zip(*plain)]
-        assert len(copies) == 2
+        assert [id(v) for v in copies] == [id(x.value) for x in counted]
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(coded_inputs(), st.integers(-310, 310), st.integers(-310, 310),

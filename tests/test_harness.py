@@ -300,6 +300,18 @@ class TestIndividualChecks:
         # repr tells apart float bits (signed zeros) and numpy scalars from Python ones
         assert new == ref and repr(new) == repr(ref)
 
+    def test_exhaustive_ball_intersection_draws_nothing(self, monkeypatch):
+        # the exhaustive branch builds no generator: the first Philox one
+        # in a process costs ~5.6 MB of RSS
+        cfg = ExperimentConfig()
+        assert check_ball_intersection(cfg).details["exhaustive"] is True
+        expected = dataclasses.asdict(check_ball_intersection(cfg))
+
+        def no_rng(*args):
+            raise AssertionError("exhaustive check built a generator")
+        monkeypatch.setattr(harness, "_rng", no_rng)
+        assert dataclasses.asdict(check_ball_intersection(cfg)) == expected
+
     def test_frontier_small_scale(self):
         r = check_frontier_growth(ExperimentConfig(n_values=(1024,), trials=30,
                                                    seed=5))
