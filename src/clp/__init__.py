@@ -9,9 +9,8 @@ Monte Carlo verification harness.
 from .bits import BitSequence, bernoulli, concat_bits
 from .codec import (
     EncodedStream,
+    EncodeResult,
     Header,
-    IdealizedResult,
-    PracticalResult,
     coding_rate,
     decode,
     encode_idealized,
@@ -68,7 +67,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BitSequence", "bernoulli", "concat_bits",
-    "EncodedStream", "Header", "IdealizedResult", "PracticalResult",
+    "EncodedStream", "EncodeResult", "Header",
     "coding_rate", "decode", "encode_idealized", "encode_practical",
     "lz78_decode", "lz78_encode",
     "CodebookTree", "LevelConfig", "default_step", "level_size",

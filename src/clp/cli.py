@@ -116,12 +116,11 @@ def _cmd_encode(args) -> int:
     x = BitSequence.from_bytes_msb(data, args.bits)
     if args.variant == "practical":
         result = encode_practical(x, args.distortion, src=args.p)
-        stream, y = result.stream, result.y
     else:
         ell = args.ell if args.ell >= 1 else default_step(x.length)
         cfg = LevelConfig(ell=ell, delta=args.delta)
         result = encode_idealized(x, args.distortion, args.p, cfg)
-        stream, y = result.stream, result.y
+    stream, y = result.stream, result.y
     blob = stream.to_bytes()
     with open(args.outfile, "wb") as fh:
         fh.write(blob)

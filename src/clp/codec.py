@@ -102,8 +102,7 @@ __all__ = [
     "encode_idealized",
     "decode",
     "coding_rate",
-    "PracticalResult",
-    "IdealizedResult",
+    "EncodeResult",
 ]
 
 MAGIC = b"CLP1"
@@ -554,6 +553,12 @@ class _CodeletLog(_EventLog):
 
 @dataclass
 class EncodeStats:
+    """Totals of one encode, counted once the parse is done.  Both coders
+    fill phrases, escapes and distortion (hamming(x, y)); only the
+    idealized one fills give_ups, promotions, max_frontier (the widest
+    search frontier per level) and tree (its dictionary), and the
+    practical one keeps tree None so a held result does not keep the trie."""
+
     phrases: int = 0
     escapes: int = 0
     give_ups: int = 0
@@ -589,14 +594,9 @@ def coding_rate(stream: EncodedStream) -> float:
     return stream.payload_bits / stream.header.n
 
 
-class PracticalResult(NamedTuple):
-    y: BitSequence
-    stream: EncodedStream
-    events: Sequence[ParseEvent]
-    stats: EncodeStats  # tree stays None: a held result does not keep the trie
+class EncodeResult(NamedTuple):
+    """What either coder returns: y, the stream, one event per phrase, stats."""
 
-
-class IdealizedResult(NamedTuple):
     y: BitSequence
     stream: EncodedStream
     events: Sequence[ParseEvent]
@@ -668,7 +668,7 @@ def select_codelet(matches: List[PracticalNode], window: BitSequence,
 
 @_no_cycle_gc
 def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelation.FULL_CODELET,
-                     src=None) -> "PracticalResult":
+                     src=None) -> EncodeResult:
     """Greedy trie coder: parse, pick by type fit, split the used leaf.
 
     Escapes happen only when no codelet fits in the remaining suffix,
@@ -718,7 +718,7 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
     payload, nbits = lz78_encode(y)
     header = Header.build(n=n, dist=db, src=src, ell=0,
                           variant=VARIANT_PRACTICAL, relation=relation)
-    return PracticalResult(y, EncodedStream(header, payload, nbits), _RowLog(rows), stats)
+    return EncodeResult(y, EncodedStream(header, payload, nbits), _RowLog(rows), stats)
 
 
 # -- idealized coder ------------------------------------------------------
@@ -785,7 +785,7 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
 
 @_no_cycle_gc
 def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] = None,
-                     ) -> "IdealizedResult":
+                     ) -> EncodeResult:
     """Leveled coder with explicit escape records.
 
     Each phrase is either the codelet tree.search returns, the oldest
@@ -814,14 +814,14 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     add_node = nodes.append
     window_of, search = x.window, tree.search
     write, write_trunc = writer.write, writer.write_trunc
-    levels, admitted = tree.levels, tree.admitted
+    sizes, admitted = tree.sizes, tree.admitted
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
         slot_bound = len(admitted) + 1
-        # levels always holds level 1, so the window spans at least ell
+        # sizes always counts level 1, so the window spans at least ell
         # bits; a window shorter than ell matches nothing, so the tail
         # escapes
-        width = min(rem, (len(levels) - 1) * ell)
+        width = min(rem, (len(sizes) - 1) * ell)
         window = window_of(pos, width)  # every phrase below fits inside it
         best, give_up = search(window, width)
         if give_up:
@@ -848,7 +848,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     header = Header.build(n=n, dist=db, src=sm, ell=ell,
                           variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
     stream = EncodedStream(header, writer.getvalue(), writer.bit_length)
-    return IdealizedResult(y, stream, _CodeletLog(x, ell, nodes), stats)
+    return EncodeResult(y, stream, _CodeletLog(x, ell, nodes), stats)
 
 
 def _decode_idealized(header: Header, payload: bytes,

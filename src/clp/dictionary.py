@@ -12,7 +12,8 @@ a codelet exists only once it has been admitted: escapes admit level-1
 codelets, promotions admit deeper ones.  CodebookTree alone decides
 admission: promote returns None when it admits nothing, and the
 level-1 fill walks only the codelets within the distortion budget of
-the escaped window, once per distinct window.
+the escaped window, once per distinct window.  Each codelet is listed
+once, in admission order; per level the dictionary keeps only a count.
 
 Codelet bit strings are kept as plain integers (symbol i = bit i), so
 the hot paths never touch BitSequence objects.
@@ -130,9 +131,10 @@ class PracticalNode:
 class LevelNode:
     """An admitted codelet; ordinal is its admission rank (slot - 1).
 
-    children maps each admitted one-level extension to its node.  It is
-    the empty tuple until CodebookTree.promote admits the first one and
-    makes the dict, since most codelets never get a child.
+    CodebookTree lists it once, in admitted, and counts it in
+    sizes[level].  children maps each admitted one-level extension to
+    its node.  It is the empty tuple until CodebookTree.promote admits
+    the first one and makes the dict, since most codelets never get one.
     """
 
     __slots__ = ("bits", "level", "ordinal", "children")
@@ -201,40 +203,33 @@ def _continuation(ell: int, dn: int, dd: int, base: int, entering_mism: int) -> 
 
 
 class CodebookTree:
-    """Either dictionary variant behind one handle."""
+    """Either dictionary behind one handle: a LevelConfig makes the
+    idealized level dictionary, no config the practical trie."""
 
-    def __init__(self, variant: str, dist, cfg: Optional[LevelConfig] = None):
-        self.variant = variant
+    def __init__(self, dist, cfg: Optional[LevelConfig] = None):
         self.dist = DistortionBudget.of(dist)
-        self._dn = self.dist.num
-        self._dd = self.dist.den
-        if variant == "practical":
+        self._dn, self._dd = self.dist.num, self.dist.den
+        if cfg is None:
             budget = self._dn // self._dd  # floor(D * 1)
             self.root = PracticalNode(0, 0, budget)
             self.root.children = [PracticalNode(0, 1, budget), PracticalNode(1, 1, budget)]
             self.root.max_leaf_depth = 1
-            self.leaf_count = 2
-        elif variant == "idealized":
-            if cfg is None:
-                raise ValueError("idealized dictionary needs a LevelConfig")
-            self.cfg = cfg
-            self.ell = cfg.ell
-            self.levels: List[List[LevelNode]] = [[], []]  # index by level, 0 unused
-            # the empty codelet, never admitted: its children are level 1
-            self.root = LevelNode(0, 0, -1)
-            self.level1: Dict[int, LevelNode] = {}  # admitted, by bits
-            self.root.children = self.level1
-            self.admitted: List[LevelNode] = []  # every codelet, admission order
-            self.caps: Dict[int, int] = {}
-            self._filled: set = set()  # windows fill_level1 has already walked
-            # widest[k]: the largest level-k frontier any search has seen
-            self.widest: List[int] = [0, 0]
-            # appended by the first search to reach level k: (continuations
-            # from level k by entering mismatch count, None until first
-            # needed; the widest level k + 1 frontier search accepts)
-            self._continuations: List[Tuple[List[Optional[_Continuation]], float]] = []
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
+            return
+        self.cfg, self.ell = cfg, cfg.ell
+        self.sizes: List[int] = [0, 0]  # codelets per level, index 0 unused
+        # the empty codelet, never admitted: its children are level 1
+        self.root = LevelNode(0, 0, -1)
+        self.level1: Dict[int, LevelNode] = {}  # admitted, by bits
+        self.root.children = self.level1
+        self.admitted: List[LevelNode] = []  # every codelet, admission order
+        self.caps: Dict[int, int] = {}
+        self._filled: set = set()  # windows fill_level1 has already walked
+        # widest[k]: the largest level-k frontier any search has seen
+        self.widest: List[int] = [0, 0]
+        # appended by the first search to reach level k: (continuations
+        # from level k by entering mismatch count, None until first
+        # needed; the widest level k + 1 frontier search accepts)
+        self._continuations: List[Tuple[List[Optional[_Continuation]], float]] = []
 
     # -- practical side --------------------------------------------------
 
@@ -338,7 +333,6 @@ class CodebookTree:
         c0 = PracticalNode(leaf.bits, d1, budget)
         c1 = PracticalNode(leaf.bits | (1 << d), d1, budget)
         leaf.children = [c0, c1]
-        self.leaf_count += 1
         # refresh subtree depth bounds and budgets down the path
         node = self.root
         bits = leaf.bits
@@ -361,31 +355,24 @@ class CodebookTree:
         override = self.cfg.level_sizes.get(level) if self.cfg.level_sizes else None
         target = override if override is not None else level_size(level * self.ell, src, self.dist)
         avail = (1 << self.ell) if level == 1 else self.cap(level - 1, src) << self.ell
-        value = min(target, avail)
-        self.caps[level] = value
+        self.caps[level] = value = min(target, avail)
         return value
 
     def max_level(self) -> int:
-        return len(self.levels) - 1
-
-    def live_count(self, level: int) -> int:
-        if level >= len(self.levels):
-            return 0
-        return len(self.levels[level])
+        return len(self.sizes) - 1
 
     def _admit(self, bits: int, level: int) -> LevelNode:
-        """The one place codelets are created: next ordinal, end of its level.
+        """The one place codelets are created: next ordinal, counted in its level.
 
         A codelet is admitted at most one level below the deepest
-        existing one, so level <= len(levels).
+        existing one, so level <= len(sizes).
         """
-        admitted, levels = self.admitted, self.levels
+        admitted, sizes = self.admitted, self.sizes
         node = LevelNode(bits, level, len(admitted))
-        if level == len(levels):
-            levels.append([node])
+        if level == len(sizes):
+            sizes.append(0)
             self.widest.append(0)
-        else:
-            levels[level].append(node)
+        sizes[level] += 1
         admitted.append(node)
         return node
 
@@ -407,7 +394,7 @@ class CodebookTree:
         cap = self.caps.get(1)
         if cap is None:
             cap = self.cap(1, src)
-        room = cap - self.live_count(1)
+        room = cap - self.sizes[1]
         added: List[LevelNode] = []
         stack = [(0, 0, 0)]  # (bits, length, mismatches)
         while stack and len(added) < room:
@@ -442,8 +429,7 @@ class CodebookTree:
         cap = self.caps.get(nxt)
         if cap is None:
             cap = self.cap(nxt, src)
-        levels = self.levels
-        if nxt < len(levels) and len(levels[nxt]) >= cap:
+        if nxt < len(self.sizes) and self.sizes[nxt] >= cap:
             return None
         node = self._admit(leaf.bits | (extension << (level * self.ell)), nxt)
         if children:
@@ -531,10 +517,10 @@ class CodebookTree:
 
 def init_practical(dist) -> CodebookTree:
     """Practical dictionary at birth: the two single-symbol codelets."""
-    return CodebookTree("practical", dist)
+    return CodebookTree(dist)
 
 
 def idealized_build_init(cfg: LevelConfig, dist) -> CodebookTree:
     """Leveled dictionary at birth: empty until the first escape."""
-    return CodebookTree("idealized", dist, cfg)
+    return CodebookTree(dist, cfg)
 

@@ -129,7 +129,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        """Flat key = value text; '#' starts a comment."""
+        """Flat key = value text; '#' starts a comment.  Each field may be
+        set once, under any of its keys."""
         values: Dict[str, object] = {}
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -143,6 +144,8 @@ class ExperimentConfig:
                 if key not in _CONFIG_KEYS:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
                 name, parse = _CONFIG_KEYS[key]
+                if name in values:
+                    raise ValueError(f"{path}:{lineno}: {name} set twice")
                 values[name] = parse(text.strip())
         return cls(**values)
 
@@ -278,9 +281,7 @@ def _grown_levels(cfg: ExperimentConfig, tag: int, levels: Tuple[int, ...]):
 
 
 def _live_sequences(tree, level: int, ell: int) -> List[BitSequence]:
-    if level >= len(tree.levels):
-        return []
-    return [node.sequence(ell) for node in tree.levels[level]]
+    return [node.sequence(ell) for node in tree.admitted if node.level == level]
 
 
 def _ball_radius(dist: Fraction, length: int) -> int:
@@ -579,12 +580,9 @@ def check_short_phrases(cfg: ExperimentConfig) -> LemmaReport:
         raise ZeroRate(f"R(D) = 0 at p={cfg.p}, D={cfg.dist}")
     threshold = (math.log2(n) - 7 * ell) / rd
     tree = _encode_fresh(cfg, _rng(cfg.seed, 8), n, ell).tree
-    per_level = {}
-    count = 0
-    for lvl in range(1, len(tree.levels)):
-        if lvl * ell < threshold:
-            per_level[lvl] = len(tree.levels[lvl])
-            count += len(tree.levels[lvl])
+    per_level = {lvl: size for lvl, size in enumerate(tree.sizes)
+                 if lvl and lvl * ell < threshold}
+    count = sum(per_level.values())
     bound = n / (math.log2(n) ** 2)
     return _report(
         "short-phrases", float(count), bound, 1, 0.0, "le",
@@ -604,36 +602,40 @@ def _ones(v: np.ndarray) -> np.ndarray:
     return _POP8[v & 255] + _POP8[v >> 8]
 
 
-def _unordered(a: np.ndarray, b: np.ndarray, n: int):
-    """The distinct unordered pairs among the index pairs (a, b) below n,
-    as (low, high); where each pair lies among them; how often each occurs."""
-    keys, inverse, mult = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                    return_inverse=True, return_counts=True)
-    return (*np.divmod(keys, n), inverse.reshape(-1), mult)
+# pairs per block: enough that numpy, not the loop, does the work
+_PAIR_BLOCK = 1024
 
 
-def _pair_masses(base: np.ndarray, centers: Sequence[int], lo: np.ndarray, hi: np.ndarray,
-                 weights: List[int], dtype) -> np.ndarray:
-    """Exact source-mass numerators of B(centers[i]) & B(centers[j]) for
-    the pairs (i, j) of lo and hi, where x lies in B(c) iff base[x ^ c].
-    Only the balls some pair uses are built, one gather and packbits per
-    ones class.  The points of a class share a weight, so a mass is the
-    intersection's point count per class dotted with the weights."""
-    used = np.zeros(len(centers), dtype=bool)
-    used[lo] = used[hi] = True
-    built = np.cumsum(used) - 1  # the row of each used ball among those built
-    ia, ib = built[lo], built[hi]
+def _balls(base: np.ndarray, centers, weights: List[int]) -> List[Tuple[np.ndarray, int]]:
+    """The balls of centers, where x lies in B(c) iff base[x ^ c], as
+    packed indicator rows, one matrix per distinct point weight (the
+    weight of a point with k ones is weights[k]; all are equal when
+    p = 1/2).  Each matrix is gathered about 32k points at a time."""
     pts = np.arange(base.size, dtype=np.uint16)
-    ones = _ones(pts)
-    cs = np.asarray(centers, dtype=np.uint16)[used, None]
-    total = np.zeros(len(lo), dtype=dtype)
-    for k, weight in enumerate(weights):
-        packed = np.packbits(base[pts[ones == k] ^ cs], axis=1)  # the used balls on class k
-        step = max(1, (1 << 16) // packed.shape[1])  # pairs per block of about 64 kB
-        for s in range(0, len(ia), step):
-            both = packed.take(ia[s:s + step], axis=0)
-            both &= packed.take(ib[s:s + step], axis=0)
-            total[s:s + step] += _POP8[both].sum(axis=1, dtype=np.uint16).astype(dtype) * weight
+    distinct = list(dict.fromkeys(weights))
+    group = np.array([distinct.index(w) for w in weights])[_ones(pts)]
+    cs = np.asarray(centers, dtype=np.uint16)[:, None]
+    out = []
+    for g, weight in enumerate(distinct):
+        members = pts[group == g]
+        step = max(1, (1 << 15) // members.size)  # centers per gather
+        out.append((np.concatenate([np.packbits(base[members ^ cs[s:s + step]], axis=1)
+                                    for s in range(0, len(cs), step)]), weight))
+    return out
+
+
+def _pair_masses(balls: List[Tuple[np.ndarray, int]], a: np.ndarray, b: np.ndarray,
+                 dtype) -> np.ndarray:
+    """Exact source-mass numerators of B(a[i]) & B(b[i]): the
+    intersection's point count per weight, dotted with the weights,
+    about 32 kB of rows at a time."""
+    total = np.zeros(len(a), dtype=dtype)
+    for packed, weight in balls:
+        step = max(1, (1 << 15) // packed.shape[1])
+        for s in range(0, len(a), step):
+            both = packed.take(a[s:s + step], axis=0)
+            both &= packed.take(b[s:s + step], axis=0)
+            total[s:s + step] += _POP8[both].sum(axis=1, dtype=np.uint32).astype(dtype) * weight
     return total
 
 
@@ -650,8 +652,9 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
 
     Both balls are translates: x lies in the ball of c iff x ^ c lies
     in the ball of 0, so each ball is one gather of a base indicator.
-    Intersection masses are symmetric, so each is computed once per
-    unordered pair; the level-L mass depends on (y, y~) alone.
+    Every ball is built once; then intersection masses, symmetric, are
+    computed once per unordered pair, a block of pairs at a time, and
+    each block is folded into the report's terms before the next.
     """
     ell = cfg.step
     depth = cfg.depth * 2 if cfg.depth * 2 + ell <= 16 else cfg.depth
@@ -678,42 +681,54 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
 
     # ratio p_{L+ell}/p_L as exact integers: C/(pd^full) over E/(pd^depth)
     canon = np.zeros(1, dtype=np.int64)
-    num_hi = int(_pair_masses(base_hi, rows, canon, canon, w_hi, exact)[0])
-    num_lo = int(_pair_masses(base_lo, centers, canon, canon, w_lo, exact)[0])
+    balls_lo, balls_hi = _balls(base_lo, centers, w_lo), _balls(base_hi, rows, w_hi)
+    num_hi = int(_pair_masses(balls_hi, canon, canon, exact)[0])
+    num_lo = int(_pair_masses(balls_lo, canon, canon, exact)[0])
     if num_lo == 0:
         raise ValueError("level ball carries no mass; degenerate cell")
 
-    total_pairs = len(rows) ** 2
-    exhaustive = total_pairs <= 30000
+    n = len(rows)
+    exhaustive = n * n <= 30000
     if exhaustive:
-        samples = total_pairs
-        lo, hi = np.triu_indices(len(rows))
-        first_pair, mult = 0, np.where(lo == hi, 1, 2)
+        samples = n * n
+        # every pair i <= j as i * n + j, in increasing order
+        keys = np.flatnonzero(np.triu(np.ones((n, n), dtype=bool))).astype(np.uint16)
+        first_pair = 0
     else:
         samples = max(100, min(cfg.trials, 5000))
         rng = _rng(cfg.seed, 9)
         y, yt, e, et = np.array([[rng.integers(len(centers)), rng.integers(len(centers)),
                                   rng.integers(len(exts)), rng.integers(len(exts))]
                                  for _ in range(samples)], dtype=np.int64).T
-        lo, hi, inverse, mult = _unordered(y * len(exts) + e, yt * len(exts) + et, len(rows))
-        first_pair = inverse[0]
+        a, b = y * len(exts) + e, yt * len(exts) + et
+        # the distinct unordered pairs, where each draw lies among them, how often each occurs
+        keys, inverse, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                          return_inverse=True, return_counts=True)
+        first_pair = inverse.reshape(-1)[0]
 
     # per unordered pair: lhs/pd^full  vs  (inter/pd^depth) * (num_hi/pd^full)
-    # / (num_lo/pd^depth), where inter depends on (y, y~) alone
-    y_lo, y_hi, of_y, _ = _unordered(lo // len(exts), hi // len(exts), len(centers))
-    inter = _pair_masses(base_lo, centers, y_lo, y_hi, w_lo, exact)[of_y]
-    excess = _pair_masses(base_hi, rows, lo, hi, w_hi, exact) * num_lo - inter * num_hi
+    # / (num_lo/pd^depth), where inter is the level-L mass of (y, y~)
+    first, extremes, violations, identity = None, [], 0, True
+    for s in range(0, len(keys), _PAIR_BLOCK):
+        lo, hi = np.divmod(keys[s:s + _PAIR_BLOCK].astype(np.int64), n)
+        inter = _pair_masses(balls_lo, lo // len(exts), hi // len(exts), exact)
+        excess = _pair_masses(balls_hi, lo, hi, exact) * num_lo - inter * num_hi
+        if s <= first_pair < s + len(lo):
+            first = int(excess[first_pair - s])
+        extremes += (int(excess.max()), int(excess.min()))
+        mult = 2 - (lo == hi) if exhaustive else counts[s:s + _PAIR_BLOCK]
+        violations += int(mult[excess > 0].sum())
+        identity = identity and bool(np.all(excess[lo == hi] == 0))
     scale = num_lo * float(pd) ** full
     # the pair-by-pair running maximum, bit for bit: the first pair wins ties (signed
     # zeros when scale is inf); the least excess raises OverflowError as any would
-    first, most, least = (int(excess[i]) for i in (first_pair, excess.argmax(), excess.argmin()))
-    worst = max(first / scale, most / scale, least / scale)
+    worst = max(first / scale, max(extremes) / scale, min(extremes) / scale)
     return _report(
         "ball-intersection", worst, 0.0, samples, 0.0, "le",
         {
             "depth": depth, "ell": ell, "exhaustive": exhaustive,
-            "violations": int(mult[excess > 0].sum()), "pairs": samples,
-            "identity_on_identical_pairs": bool(np.all(excess[lo == hi] == 0)),
+            "violations": violations, "pairs": samples,
+            "identity_on_identical_pairs": identity,
             "ratio": f"{num_hi}/{num_lo} (common denominator scaled)",
             "p": str(cfg.p), "D": str(cfg.dist),
         })
@@ -878,6 +893,5 @@ def rate_sweep(cfg: ExperimentConfig) -> List[Dict[str, object]]:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
-            for row in out:
-                writer.writerow(row)
+            writer.writerows(out)
     return out

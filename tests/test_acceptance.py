@@ -311,8 +311,8 @@ def test_criterion_06_exhaustive_probability_and_search(capsys):
                 depth = level * tree.ell
                 if depth > window.length:
                     break
-                live = [nd for nd in tree.levels[level]
-                        if matches_prefixwise(window[:depth], nd.sequence(tree.ell), d)]
+                live = [nd for nd in tree.admitted if nd.level == level
+                        and matches_prefixwise(window[:depth], nd.sequence(tree.ell), d)]
                 if live:
                     want = min(live, key=lambda nd: nd.ordinal)
                     want_sizes[level] = len(live)

@@ -137,7 +137,7 @@ class TestPracticalTrie:
     def test_initial_state(self):
         tree = init_practical(Fraction(1, 2))
         assert tree.leaf_strings() == {"0", "1"}
-        assert tree.leaf_count == 2
+        assert len(tree.leaves()) == 2
         assert tree.root.max_leaf_depth == 1
 
     def test_extend_splits_a_leaf(self):
@@ -146,7 +146,7 @@ class TestPracticalTrie:
         c0, c1 = tree.extend_codelet(zero)
         assert {c0.sequence().to01(), c1.sequence().to01()} == {"00", "01"}
         assert tree.leaf_strings() == {"00", "01", "1"}
-        assert tree.leaf_count == 3
+        assert len(tree.leaves()) == 3
         assert tree.root.max_leaf_depth == 2
         with pytest.raises(NotALeaf):
             tree.extend_codelet(zero)
@@ -267,12 +267,12 @@ class TestIdealizedBuild:
         spelled = [n.sequence(2).to01() for n in added]
         assert spelled == ["00", "01", "10"]  # lex, stopped at the cap
         assert tree.fill_level1(0b11, HALF) == []  # already full
-        assert tree.live_count(1) == 3
+        assert tree.sizes[1] == 3
 
     def test_starts_with_no_codelets(self):
         tree = idealized_build_init(LevelConfig(ell=16), QUARTER)
         assert tree.level1 == {} and tree.admitted == []
-        assert tree.max_level() == 1 and tree.live_count(1) == 0
+        assert tree.max_level() == 1 and tree.sizes == [0, 0]
 
     def test_fill_with_zero_budget_admits_only_the_window(self):
         tree = idealized_build_init(small_config(), QUARTER)  # floor(2/4) = 0
@@ -285,7 +285,7 @@ class TestIdealizedBuild:
     def test_promote_paths(self):
         tree = idealized_build_init(small_config(level_sizes={1: 4, 2: 2}), QUARTER)
         tree.fill_level1(0b00, HALF)
-        base = tree.levels[1][0]
+        base = members(tree, 1)[0]
         a = tree.promote(base, 0b11, HALF)
         assert a.level == 2 and a.sequence(2).to01() == "0011"
         admitted = list(tree.admitted)
@@ -293,7 +293,7 @@ class TestIdealizedBuild:
         assert tree.admitted == admitted and base.children == {0b11: a}
         assert tree.promote(base, 0b01, HALF) is not None
         assert tree.promote(base, 0b10, HALF) is None  # level 2 is full
-        assert tree.live_count(2) == 2 and 0b10 not in base.children
+        assert tree.sizes[2] == 2 and 0b10 not in base.children
 
     @pytest.mark.parametrize("dist", HOSTILE_DISTS, ids=["0", "1/4", "1/3"])
     def test_hostile_wide_step_stream_fails_fast(self, dist):
@@ -305,13 +305,23 @@ class TestIdealizedBuild:
             decode(raw)
         assert time.process_time() - start < 0.5
 
+    def test_sizes_count_each_levels_admitted_codelets(self):
+        tree = grow_idealized(np.random.default_rng(5), LevelConfig(ell=2), Fraction(1, 3), 200)
+        assert tree.max_level() >= 3
+        assert tree.sizes == [0] + [len(members(tree, k)) for k in range(1, len(tree.sizes))]
+
     def test_admission_order_is_recorded(self):
         tree = idealized_build_init(small_config(), 1)
         tree.fill_level1(0b00, HALF)
-        node = tree.levels[1][2]
+        node = members(tree, 1)[2]
         child = tree.promote(node, 0b01, HALF)
         assert [n.ordinal for n in tree.admitted] == list(range(5))
         assert tree.admitted[-1] is child
+
+
+def members(tree: CodebookTree, level: int) -> list:
+    """The codelets of one level, in admission order."""
+    return [nd for nd in tree.admitted if nd.level == level]
 
 
 def grow_idealized(rng, cfg: LevelConfig, dist, steps: int) -> CodebookTree:
@@ -321,8 +331,8 @@ def grow_idealized(rng, cfg: LevelConfig, dist, steps: int) -> CodebookTree:
         w = int(rng.integers(0, 1 << cfg.ell))
         tree.fill_level1(w, HALF)
         level = int(rng.integers(1, max(2, tree.max_level() + 1)))
-        if tree.live_count(level):
-            nodes = tree.levels[level]
+        nodes = members(tree, level)
+        if nodes:
             node = nodes[int(rng.integers(len(nodes)))]
             ext = int(rng.integers(0, 1 << cfg.ell))
             tree.promote(node, ext, HALF)
@@ -335,7 +345,7 @@ def brute_deepest_match(tree: CodebookTree, window: BitSequence, dist):
         depth = level * tree.ell
         if depth > window.length:
             continue
-        live = [nd for nd in tree.levels[level]
+        live = [nd for nd in members(tree, level)
                 if matches_prefixwise(window[:depth], nd.sequence(tree.ell), dist)]
         if live:
             return min(live, key=lambda nd: nd.ordinal)
@@ -361,7 +371,7 @@ def brute_match_counts(tree: CodebookTree, window: BitSequence, dist):
         depth = level * tree.ell
         if depth <= window.length:
             count = sum(matches_prefixwise(window[:depth], nd.sequence(tree.ell), dist)
-                        for nd in tree.levels[level])
+                        for nd in members(tree, level))
             if count:
                 counts[level] = count
     return counts
@@ -401,7 +411,7 @@ class TestIdealizedSearch:
         tree.fill_level1(0b00, HALF)
         window = BitSequence.from_str("11")
         best, _ = tree.search(window.value, window.length)
-        assert best is tree.levels[1][0]  # oldest admitted wins
+        assert best is members(tree, 1)[0]  # oldest admitted wins
 
     def test_frontier_records_members_per_level(self):
         tree = idealized_build_init(small_config(), 1)
@@ -418,7 +428,7 @@ class TestIdealizedSearch:
         tree.widest[1] = 7  # a wider past search is never lowered
         tree.search(0b01, 2)
         assert tree.widest == [0, 7]
-        tree.promote(tree.levels[1][0], 0b11, HALF)  # a new level gets its own entry
+        tree.promote(members(tree, 1)[0], 0b11, HALF)  # a new level gets its own entry
         assert tree.widest == [0, 7, 0]
         tree.search(0b0110, 4)
         assert tree.widest == [0, 7, 1]
@@ -429,10 +439,10 @@ class TestIdealizedSearch:
         cfg = LevelConfig(ell=6, delta=1.0, level_sizes={1: 64, 2: 4096, 3: 262144})
         tree = idealized_build_init(cfg, 1)
         tree.fill_level1(0, HALF)
-        for node in list(tree.levels[1]):
+        for node in members(tree, 1):
             for ext in range(64):
                 tree.promote(node, ext, HALF)
-        for node in list(tree.levels[2]):
+        for node in members(tree, 2):
             for ext in range(64):
                 tree.promote(node, ext, HALF)
         window = BitSequence.zeros(24)
@@ -450,7 +460,7 @@ def searched(ell: int, dist, delta: float) -> CodebookTree:
     """A dictionary whose one search reads tables at levels 0 and 1."""
     tree = idealized_build_init(small_config(ell=ell, delta=delta), dist)
     tree.fill_level1(0b101, HALF)
-    tree.promote(tree.levels[1][0], 0b011, HALF)
+    tree.promote(members(tree, 1)[0], 0b011, HALF)
     tree.search(0b011101, 2 * ell)
     return tree
 
@@ -503,9 +513,3 @@ class TestLevelConfigValidation:
             LevelConfig(ell=2, delta=0.0)
         with pytest.raises(ValueError):
             LevelConfig(ell=2, level_sizes={1: 0})
-
-    def test_unknown_variant_rejected(self):
-        with pytest.raises(ValueError):
-            CodebookTree("quantum", Fraction(1, 4))
-        with pytest.raises(ValueError):
-            CodebookTree("idealized", Fraction(1, 4))  # missing config

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
 import clp.harness as harness
 from clp import dictionary
+from clp.cli import EXIT_USAGE, main
 from clp.dictionary import default_step
 from clp.errors import ZeroRate
 from clp.harness import (
@@ -194,6 +196,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown key"):
             ExperimentConfig.from_file(str(path))
 
+    @pytest.mark.parametrize("text, lineno, name", [
+        ("d = 1/4\ndistortion = 1/10\n", 2, "dist"),  # under another alias
+        ("n = 256\n# n again\nn_values = 512\n", 3, "n_values"),
+        ("seed = 1\nseed = 1\n", 2, "seed"),  # under the same key, same value
+    ])
+    def test_from_file_rejects_a_field_set_twice(self, tmp_path, text, lineno, name):
+        path = tmp_path / "cfg.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(str(path))
+        assert str(err.value) == f"{path}:{lineno}: {name} set twice"
+        argv = ["analyze", "--check", "symmetry", "--config", str(path)]
+        assert main(argv) == EXIT_USAGE
+
     def test_from_file_rejects_bare_line(self, tmp_path):
         path = tmp_path / "cfg.txt"
         path.write_text("just words\n")
@@ -311,6 +327,20 @@ class TestIndividualChecks:
             raise AssertionError("exhaustive check built a generator")
         monkeypatch.setattr(harness, "_rng", no_rng)
         assert dataclasses.asdict(check_ball_intersection(cfg)) == expected
+
+    def test_ball_intersection_peak_memory(self):
+        # the balls are built once and the pairs folded in blocks, so the
+        # default cell's 9,870 unordered pairs never sit in memory at once
+        cfg = ExperimentConfig()
+        check_ball_intersection(cfg)  # fill the shared caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            check_ball_intersection(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 300_000
 
     def test_frontier_small_scale(self):
         r = check_frontier_growth(ExperimentConfig(n_values=(1024,), trials=30,

@@ -30,3 +30,14 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_benchmark_trace_targets_resolve(monkeypatch):
+    # perfbench --trace patches these attributes by name; a rename under
+    # src/ must fail here, not only in the benchmark
+    perfbench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench")
+    monkeypatch.syspath_prepend(perfbench)
+    bench_trace = importlib.import_module("bench_trace")
+    traced = {name for _, _, name in bench_trace.attribute_sites()}
+    assert traced == {name for name, _, _ in bench_trace.TARGETS}
