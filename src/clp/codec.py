@@ -783,6 +783,46 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     return concat_bits(parts)
 
 
+def _encoder_step(x: BitSequence, tree: CodebookTree, writer: BitWriter,
+                  nodes: List[Optional[LevelNode]], stats: EncodeStats):
+    """The idealized encoder's phrase step, for _idealized_parse.
+
+    step(pos, rem) searches tree for the window of x at pos, writes the
+    phrase's record to writer, appends the codelet written (None for an
+    escape) to nodes and counts give-ups in stats.  It only reads the
+    dictionary; the parse loop grows it.
+    """
+    ell = tree.ell
+    add_node = nodes.append
+    window_of, search = x.window, tree.search
+    write, write_trunc = writer.write, writer.write_trunc
+    sizes, admitted = tree.sizes, tree.admitted
+
+    def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
+        slot_bound = len(admitted) + 1
+        # sizes always counts level 1, so the window spans at least ell
+        # bits; a window shorter than ell matches nothing, so the tail
+        # escapes
+        width = min(rem, (len(sizes) - 1) * ell)
+        window = window_of(pos, width)  # every phrase below fits inside it
+        best, give_up = search(window, width)
+        if give_up:
+            stats.give_ups += 1
+            best = None
+        if best is None:
+            seglen = min(rem, ell)
+            seg = window & ((1 << seglen) - 1)
+            write_trunc(0, slot_bound)
+            write(lex_key(seg, seglen), seglen)  # MSB first = source order
+            add_node(None)
+            return seg, seglen, None
+        write_trunc(best.ordinal + 1, slot_bound)
+        add_node(best)
+        return best.bits, best.level * ell, best
+
+    return next_phrase
+
+
 @_no_cycle_gc
 def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] = None,
                      ) -> EncodeResult:
@@ -811,38 +851,11 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     writer = BitWriter()
     nodes: List[Optional[LevelNode]] = []  # per phrase: the codelet written, None to escape
     stats = EncodeStats(tree=tree)
-    add_node = nodes.append
-    window_of, search = x.window, tree.search
-    write, write_trunc = writer.write, writer.write_trunc
-    sizes, admitted = tree.sizes, tree.admitted
-
-    def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
-        slot_bound = len(admitted) + 1
-        # sizes always counts level 1, so the window spans at least ell
-        # bits; a window shorter than ell matches nothing, so the tail
-        # escapes
-        width = min(rem, (len(sizes) - 1) * ell)
-        window = window_of(pos, width)  # every phrase below fits inside it
-        best, give_up = search(window, width)
-        if give_up:
-            stats.give_ups += 1
-            best = None
-        if best is None:
-            seglen = min(rem, ell)
-            seg = window & ((1 << seglen) - 1)
-            write_trunc(0, slot_bound)
-            write(lex_key(seg, seglen), seglen)  # MSB first = source order
-            add_node(None)
-            return seg, seglen, None
-        write_trunc(best.ordinal + 1, slot_bound)
-        add_node(best)
-        return best.bits, best.level * ell, best
-
-    y = _idealized_parse(n, ell, tree, sm, next_phrase)
+    y = _idealized_parse(n, ell, tree, sm, _encoder_step(x, tree, writer, nodes, stats))
     # totals counted once from the finished parse; only promote admits above level 1
     stats.phrases = len(nodes)
     stats.escapes = nodes.count(None)
-    stats.promotions = len(admitted) - len(tree.level1)
+    stats.promotions = len(tree.admitted) - len(tree.level1)
     stats.max_frontier = {lvl: size for lvl, size in enumerate(tree.widest) if size}
     stats.distortion = hamming_distance(x, y)
     header = Header.build(n=n, dist=db, src=sm, ell=ell,

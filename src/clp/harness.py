@@ -23,8 +23,22 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .bits import BitSequence, bernoulli
-from .codec import coding_rate, encode_idealized
-from .dictionary import _MAX_STEP, LevelConfig, default_step, level_size
+from .codec import (
+    BitWriter,
+    EncodeStats,
+    _encoder_step,
+    _idealized_parse,
+    coding_rate,
+    encode_idealized,
+)
+from .dictionary import (
+    _MAX_STEP,
+    LevelConfig,
+    LevelNode,
+    default_step,
+    idealized_build_init,
+    level_size,
+)
 from .errors import ZeroRate
 from .matching import (
     ball_probability_exact,
@@ -261,11 +275,10 @@ def _trials(cfg: ExperimentConfig, tag: int, count: int, fn) -> list:
 # -- dictionary growth shared by the level checks --------------------------
 
 
-def _encode_fresh(cfg: ExperimentConfig, rng, n: int, ell: int,
-                  level_sizes: Optional[Dict[int, int]] = None):
+def _encode_fresh(cfg: ExperimentConfig, rng, n: int, ell: int):
     """Stats of one idealized encode of a fresh n-bit Bernoulli(p) input."""
     x = bernoulli(rng, n, float(cfg.p))
-    lc = LevelConfig(ell=ell, delta=cfg.delta, level_sizes=level_sizes)
+    lc = LevelConfig(ell=ell, delta=cfg.delta)
     return encode_idealized(x, cfg.dist, cfg.p, lc).stats
 
 
@@ -443,9 +456,34 @@ def check_coverage_probability(cfg: ExperimentConfig) -> LemmaReport:
         })
 
 
+class _Level1Frozen(Exception):
+    """Ends a symmetry build's parse once its level 1 can no longer change."""
+
+
+def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig) -> Dict[int, LevelNode]:
+    """Level 1 of the dictionary encode_idealized(x, dist, src, lc) grows,
+    parsed only until that level is frozen (see check_symmetry)."""
+    tree = idealized_build_init(lc, dist)
+    step = _encoder_step(x, tree, BitWriter(), [], EncodeStats(tree=tree))
+    caps, sizes = tree.caps, tree.sizes
+
+    def until_frozen(pos: int, rem: int):
+        if 1 in caps and sizes[1] >= caps[1]:
+            raise _Level1Frozen
+        return step(pos, rem)
+
+    try:
+        _idealized_parse(x.length, lc.ell, tree, SourceModel.of(src), until_frozen)
+    except _Level1Frozen:
+        pass
+    return tree.level1
+
+
 def _admitted_members(cfg: ExperimentConfig, members: List[int], cap: int,
                       build_n: int, rng, t) -> List[int]:
-    level1 = _encode_fresh(cfg, rng, build_n, cfg.step, {1: cap}).tree.level1
+    x = bernoulli(rng, build_n, float(cfg.p))
+    lc = LevelConfig(ell=cfg.step, delta=cfg.delta, level_sizes={1: cap})
+    level1 = _frozen_level1(x, cfg.dist, cfg.p, lc)
     return [m for m in members if m in level1]
 
 
@@ -456,6 +494,15 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     genuinely random; over many independent builds every member of the
     optimal type class must enter the dictionary equally often.
     Verified with a Pearson chi-square test at significance 0.01.
+
+    A build reads only level 1, so it parses only until that level is
+    frozen: its cap is set and reached.  From then on fill_level1 has no
+    room and promote admits only at level 2 or deeper, so the rest of
+    the encode cannot change level 1.  The build runs the encoder's own
+    phrase step and parse loop on the whole input and stops before the
+    next phrase, so its level 1 is exactly that of the full encode;
+    encoding a shorter input instead would narrow the last windows and
+    could change the parse.
     """
     # the only scipy user: importing it here keeps it off `import clp`
     from scipy.stats import chi2

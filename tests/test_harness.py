@@ -8,13 +8,18 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
 import clp.harness as harness
 from clp import dictionary
+from clp.bits import bernoulli
+from clp.codec import encode_idealized
 from clp.cli import EXIT_USAGE, main
-from clp.dictionary import default_step
+from clp.dictionary import LevelConfig, default_step
 from clp.errors import ZeroRate
 from clp.harness import (
     CHECKS,
@@ -288,6 +293,22 @@ class TestIndividualChecks:
         assert r.passed
         assert len(r.details["frequencies"]) == len(r.details["members"])
 
+    def test_symmetry_builds_stop_once_level1_is_frozen(self, monkeypatch):
+        # a build parses ~70 phrases of its 256-bit input, but level 1,
+        # all the check reads, is frozen within the first few
+        calls = 0
+        search = dictionary.CodebookTree.search
+
+        def counted(tree, window_bits, window_len):
+            nonlocal calls
+            calls += 1
+            return search(tree, window_bits, window_len)
+
+        monkeypatch.setattr(dictionary.CodebookTree, "search", counted)
+        cfg = ExperimentConfig(trials=1000, seed=1, workers=1)
+        assert check_symmetry(cfg).passed
+        assert calls <= 8 * cfg.trials
+
     def test_ball_intersection_exhaustive(self):
         r = check_ball_intersection(small_cfg(depth=2))
         assert r.passed and r.estimate == 0.0
@@ -360,6 +381,53 @@ class TestIndividualChecks:
         cfg = small_cfg(p=Fraction(1, 2), dist=Fraction(1, 2))
         with pytest.raises(ZeroRate):
             check_short_phrases(cfg)
+
+
+GOLDEN_DISTS = sorted({cfg.dist for cfg in CONFIGS})
+# (ell, cap, D, p, n, seed) whose full encode never fills level 1: n < ell
+# makes no full-length escape, and the others match fewer codelets than
+# the cap, so a stopped build parses to the end of x
+NEVER_FROZEN = (
+    (6, 63, Fraction(1, 4), Fraction(1, 2), 5, 1),
+    (6, 63, Fraction(1, 4), Fraction(1, 2), 512, 0),
+    (6, 63, Fraction(1, 10), Fraction(3, 10), 40, 2),
+    (4, 15, Fraction(1, 10), Fraction(3, 10), 512, 0),
+)
+
+
+@st.composite
+def level1_cells(draw):
+    ell = draw(st.integers(1, 6))
+    cap = draw(st.integers(1, (1 << ell) - 1))
+    dist = draw(st.sampled_from(GOLDEN_DISTS))
+    p = draw(st.sampled_from((Fraction(1, 2), Fraction(3, 10))))
+    return ell, cap, dist, p, draw(st.integers(1, 512)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+class TestFrozenLevel1:
+    """A symmetry build stops once level 1 is frozen; its level 1 must be
+    the full encode's, codelet for codelet."""
+
+    @staticmethod
+    def assert_same_level1(ell, cap, dist, p, n, seed):
+        x = bernoulli(np.random.default_rng(seed), n, float(p))
+        lc = LevelConfig(ell=ell, level_sizes={1: cap})
+        stopped = harness._frozen_level1(x, dist, p, lc)
+        tree = encode_idealized(x, dist, p, lc).stats.tree
+        assert list(stopped) == list(tree.level1)
+        assert [node.ordinal for node in stopped.values()] == \
+            [node.ordinal for node in tree.level1.values()]
+        return tree
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(level1_cells())
+    def test_equals_the_full_encode(self, cell):
+        self.assert_same_level1(*cell)
+
+    @pytest.mark.parametrize("cell", NEVER_FROZEN)
+    def test_equals_the_full_encode_that_never_freezes(self, cell):
+        tree = self.assert_same_level1(*cell)
+        assert tree.caps.get(1) is None or tree.sizes[1] < tree.caps[1]
 
 
 class TestRateSweep:
