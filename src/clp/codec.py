@@ -42,6 +42,11 @@ next stream bits in a small integer buffer, refilled by whole blocks of
 bytes, and decodes a truncated-binary slot in one step.  Neither
 builds a bytes object per field, and neither holds more than a block
 and one field, so each costs the same per field at any payload size.
+The idealized encoder reads x the same way: one BitSequence.window
+call fetches a block of _X_BLOCK_BITS bits plus one window's width,
+and each phrase's window is shifted and masked out of that block, so
+x is read about once per block, not once per phrase, while only
+clp.bits knows how a sequence lays out its bytes.
 
 The three coder entry points, encode_practical, encode_idealized and
 decode, run with CPython's cyclic garbage collector paused.  They build
@@ -120,6 +125,9 @@ _PART_BITS = 4096
 # bits; BitReader refills its buffer with at least this many bytes
 _WRITE_BLOCK_BITS = 512
 _READ_BLOCK_BYTES = 16
+# the idealized encoder reads x through BitSequence.window this many
+# bits at a time (plus one window's width), not once per phrase
+_X_BLOCK_BITS = 1024
 
 
 def _no_cycle_gc(fn):
@@ -791,20 +799,34 @@ def _encoder_step(x: BitSequence, tree: CodebookTree, writer: BitWriter,
     phrase's record to writer, appends the codelet written (None for an
     escape) to nodes and counts give-ups in stats.  It only reads the
     dictionary; the parse loop grows it.
+
+    x is read by blocks: the step keeps x's bits [start, end) as one
+    integer, fetched with a single x.window call, and slices each
+    phrase's window out of it.  When a window would run past end, the
+    block is refetched from pos with _X_BLOCK_BITS bits beyond the
+    window's width, so a window wider than the block (a deep
+    dictionary) still fits in it.
     """
     ell = tree.ell
     add_node = nodes.append
     window_of, search = x.window, tree.search
     write, write_trunc = writer.write, writer.write_trunc
     sizes, admitted = tree.sizes, tree.admitted
+    block_bits = _X_BLOCK_BITS
+    block = start = end = 0  # x's bits [start, end), as one integer
 
     def next_phrase(pos: int, rem: int) -> Tuple[int, int, Optional[LevelNode]]:
+        nonlocal block, start, end
         slot_bound = len(admitted) + 1
         # sizes always counts level 1, so the window spans at least ell
         # bits; a window shorter than ell matches nothing, so the tail
         # escapes
         width = min(rem, (len(sizes) - 1) * ell)
-        window = window_of(pos, width)  # every phrase below fits inside it
+        if pos + width > end:
+            end = pos + block_bits + width
+            block, start = window_of(pos, block_bits + width), pos
+        # equal to x.window(pos, width); every phrase below fits inside it
+        window = (block >> (pos - start)) & ((1 << width) - 1)
         best, give_up = search(window, width)
         if give_up:
             stats.give_ups += 1

@@ -816,6 +816,37 @@ class TestIdealizedPhraseStep:
         # the encoder counts promotions and give-ups from the finished
         # parse and the dictionary; a step that counts each admission as
         # it happens must agree, and must write the same payload
+        self.assert_matches_reference()
+
+    @pytest.mark.parametrize("block_bits", (1, 13))
+    def test_small_x_blocks_match_the_reference(self, block_bits, monkeypatch):
+        # the encoder slices its windows from blocks of x; blocks this
+        # small refetch every phrase or two, are narrower than most
+        # windows and put the final tail across a block end, yet the
+        # stream must be the reference's, which reads x.window per phrase
+        monkeypatch.setattr(codec, "_X_BLOCK_BITS", block_bits)
+        self.assert_matches_reference()
+
+    def test_reads_x_once_per_block(self, monkeypatch):
+        # one x.window call per _X_BLOCK_BITS bits of x, not one per
+        # phrase: 16 calls here against 1,825 phrases
+        n = 1 << 14
+        x = bernoulli(np.random.default_rng(1), n, 0.5)
+        calls = 0
+        window = BitSequence.window
+
+        def counting(self, start, width):
+            nonlocal calls
+            calls += 1
+            return window(self, start, width)
+
+        monkeypatch.setattr(BitSequence, "window", counting)
+        res = encode_idealized(x, Fraction(11, 100), Fraction(1, 2))
+        assert res.stats.phrases > 1000
+        assert calls <= -(-n // codec._X_BLOCK_BITS) + 1
+
+    @staticmethod
+    def assert_matches_reference():
         rng = np.random.default_rng(44)
         cases = 0
         for trial in range(10):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
 import clp.harness as harness
-from clp import dictionary
+from clp import codec, dictionary
 from clp.bits import bernoulli
 from clp.codec import encode_idealized
 from clp.cli import EXIT_USAGE, main
@@ -393,6 +393,11 @@ NEVER_FROZEN = (
     (6, 63, Fraction(1, 10), Fraction(3, 10), 40, 2),
     (4, 15, Fraction(1, 10), Fraction(3, 10), 512, 0),
 )
+# cells whose level 1 freezes early in the parse
+FROZEN = (
+    (3, 2, Fraction(1, 4), Fraction(1, 2), 256, 5),
+    (5, 7, Fraction(11, 100), Fraction(3, 10), 512, 3),
+)
 
 
 @st.composite
@@ -428,6 +433,15 @@ class TestFrozenLevel1:
     def test_equals_the_full_encode_that_never_freezes(self, cell):
         tree = self.assert_same_level1(*cell)
         assert tree.caps.get(1) is None or tree.sizes[1] < tree.caps[1]
+
+    @pytest.mark.parametrize("block_bits", (1, 13))
+    @pytest.mark.parametrize("cell", NEVER_FROZEN + FROZEN)
+    def test_equals_the_full_encode_with_small_x_blocks(self, cell, block_bits, monkeypatch):
+        # both sides read x by blocks through the encoder's step; blocks
+        # this small refetch every phrase or two
+        monkeypatch.setattr(codec, "_X_BLOCK_BITS", block_bits)
+        tree = self.assert_same_level1(*cell)
+        assert (cell in FROZEN) == (1 in tree.caps and tree.sizes[1] >= tree.caps[1])
 
 
 class TestRateSweep:
