@@ -32,9 +32,12 @@ range of m values spends w = floor(log2 m) bits on the first
 2^(w+1) - m slot numbers and w + 1 bits on the rest, keeping the code
 prefix-free and complete.  Encoder and decoder run the same parse
 loop, _idealized_parse, and only that loop grows the dictionary, so
-the slot ranges stay in lockstep by construction.  Bit order inside
-the payload is most-significant-first per byte; raw source bits
-appear in source order.
+the slot ranges stay in lockstep by construction.  The header and
+payload alone determine the decode; decode takes no other parameter.
+Each level cap is computed from (ell, p, D) on both sides, with p
+estimated from y so far when the header leaves it unknown.  Bit
+order inside the payload is most-significant-first per byte; raw
+source bits appear in source order.
 
 Bit I/O goes by blocks, not by fields.  BitWriter gathers fields in an
 integer and emits its whole bytes once per block; BitReader keeps the
@@ -886,14 +889,9 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     return EncodeResult(y, stream, _CodeletLog(x, ell, nodes), stats)
 
 
-def _decode_idealized(header: Header, payload: bytes,
-                      cfg: Optional[LevelConfig]) -> BitSequence:
-    if cfg is None:
-        cfg = LevelConfig(ell=header.ell)
-    elif cfg.ell != header.ell:
-        raise CorruptStream("level step disagrees with the header")
-    ell = cfg.ell
-    tree = idealized_build_init(cfg, header.dist)
+def _decode_idealized(header: Header, payload: bytes) -> BitSequence:
+    ell = header.ell
+    tree = idealized_build_init(LevelConfig(ell=ell), header.dist)
     reader = BitReader(payload)
     read_trunc, admitted = reader.read_trunc, tree.admitted
 
@@ -902,8 +900,6 @@ def _decode_idealized(header: Header, payload: bytes,
         if slot == 0:
             seglen = min(rem, ell)
             return lex_key(reader.read(seglen), seglen), seglen, None
-        if slot > len(admitted):
-            raise CorruptStream(f"slot {slot} has not been admitted yet")
         node = admitted[slot - 1]
         seglen = node.level * ell
         if seglen > rem:
@@ -914,16 +910,15 @@ def _decode_idealized(header: Header, payload: bytes,
 
 
 @_no_cycle_gc
-def decode(stream, cfg: Optional[LevelConfig] = None) -> BitSequence:
+def decode(stream) -> BitSequence:
     """Reconstruction from a stream object or raw bytes.
 
-    Yields exactly the y the encoder produced.  cfg is only needed when
-    the encoder ran with a non-default LevelConfig (its caps are not in
-    the header).
+    Yields exactly the y the encoder produced, from the stream alone:
+    a decoder has no parameter to get wrong.
     """
     if isinstance(stream, (bytes, bytearray, memoryview)):
         stream = EncodedStream.from_bytes(bytes(stream))
     header = stream.header
     if header.variant == VARIANT_PRACTICAL:
         return lz78_decode(stream.payload, header.n)
-    return _decode_idealized(header, stream.payload, cfg)
+    return _decode_idealized(header, stream.payload)

@@ -154,23 +154,18 @@ class LevelNode:
 
 @dataclass(frozen=True)
 class LevelConfig:
-    """Shape of the idealized dictionary.
-
-    level_sizes, when given, overrides the computed per-level target
-    (keyed by level number, 1 for depth ell); handy in tests.
-    """
+    """Shape of the idealized dictionary: its level step and the search's
+    give-up slack.  Level caps are computed from (ell, p, D) on both
+    sides, and only the encoder searches, so the header decodes alone."""
 
     ell: int
     delta: float = 0.01
-    level_sizes: Optional[Dict[int, int]] = None
 
     def __post_init__(self):
         if not 1 <= self.ell <= _MAX_STEP:
             raise ValueError(f"step must lie in [1, {_MAX_STEP}]")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.level_sizes and any(v < 1 for v in self.level_sizes.values()):
-            raise ValueError("level sizes must be positive")
 
 
 # (steps, valid): steps[d] is the mismatch count after a segment whose
@@ -348,12 +343,13 @@ class CodebookTree:
     # -- idealized side ----------------------------------------------
 
     def cap(self, level: int, src) -> int:
-        """Most codelets a level may hold; frozen the first time it is needed."""
+        """Most codelets a level may hold, frozen in caps the first time it
+        is needed: level_size at the level's depth, capped by what the
+        level above offers (2^ell at level 1, 2^ell per codelet above)."""
         got = self.caps.get(level)
         if got is not None:
             return got
-        override = self.cfg.level_sizes.get(level) if self.cfg.level_sizes else None
-        target = override if override is not None else level_size(level * self.ell, src, self.dist)
+        target = level_size(level * self.ell, src, self.dist)
         avail = (1 << self.ell) if level == 1 else self.cap(level - 1, src) << self.ell
         self.caps[level] = value = min(target, avail)
         return value

@@ -460,10 +460,12 @@ class _Level1Frozen(Exception):
     """Ends a symmetry build's parse once its level 1 can no longer change."""
 
 
-def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig) -> Dict[int, LevelNode]:
-    """Level 1 of the dictionary encode_idealized(x, dist, src, lc) grows,
-    parsed only until that level is frozen (see check_symmetry)."""
+def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig, cap: int) -> Dict[int, LevelNode]:
+    """Level 1 of the dictionary encode_idealized(x, dist, src, lc) grows
+    when level 1 holds at most cap codelets (cap <= 2^ell), parsed only
+    until that level is frozen (see check_symmetry)."""
     tree = idealized_build_init(lc, dist)
+    tree.caps[1] = cap  # frozen in advance; cap() returns it as it stands
     step = _encoder_step(x, tree, BitWriter(), [], EncodeStats(tree=tree))
     caps, sizes = tree.caps, tree.sizes
 
@@ -482,8 +484,8 @@ def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig) -> Dict[int, Leve
 def _admitted_members(cfg: ExperimentConfig, members: List[int], cap: int,
                       build_n: int, rng, t) -> List[int]:
     x = bernoulli(rng, build_n, float(cfg.p))
-    lc = LevelConfig(ell=cfg.step, delta=cfg.delta, level_sizes={1: cap})
-    level1 = _frozen_level1(x, cfg.dist, cfg.p, lc)
+    lc = LevelConfig(ell=cfg.step, delta=cfg.delta)
+    level1 = _frozen_level1(x, cfg.dist, cfg.p, lc, cap)
     return [m for m in members if m in level1]
 
 

@@ -1,6 +1,8 @@
 """Wire format and coder tests: bit I/O, LZ78 back end, headers, both coders."""
 
+import dataclasses
 import gc
+import inspect
 import time
 import tracemalloc
 from fractions import Fraction
@@ -9,10 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from level_caps import capped_levels
 from test_bits import counting_int_type
+from test_fuzz import _cli_decode
+from test_golden import D_VALUES
 
 from clp import codec
 from clp.bits import BitSequence, bernoulli
+from clp.cli import EXIT_OK
 from clp.codec import (
     FORMAT_VERSION,
     MAGIC,
@@ -35,7 +41,6 @@ from clp.dictionary import (
     LevelConfig,
     PracticalNode,
     default_step,
-    idealized_build_init,
     init_practical,
     lex_key,
 )
@@ -224,6 +229,38 @@ class TestBitIO:
     def test_trunc_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             BitWriter().write_trunc(5, 5)
+
+    def test_trunc_reads_any_bits_below_bound_or_corrupt(self):
+        # the idealized decoder checks no slot against the admitted
+        # count: whatever bits a stream holds, read_trunc(bound) must
+        # give a value in [0, bound) or raise CorruptStream.  Every
+        # pattern of bound.bit_length() bits is read whole, with more
+        # bits after it, and cut after each of its bits, the buffer then
+        # ending mid-code (patterns that agree up to a cut give the same
+        # buffer, so each such prefix is read once)
+        for bound in range(1, 301):
+            nbits = bound.bit_length()
+            spare = (1 << nbits) - bound  # codes below spare are one bit short
+            for cut in range(nbits + 1):
+                pad = -cut % 8  # filler read first, so the data ends at the cut
+                for prefix in range(1 << cut):
+                    data = (((1 << pad) - 1) << cut | prefix).to_bytes((pad + cut) // 8, "big")
+                    head = prefix >> (cut - nbits + 1) if cut >= nbits - 1 else None
+                    if head is not None and head < spare:
+                        want = head
+                    elif cut == nbits:
+                        want = prefix - spare
+                    else:
+                        want = None  # the code needs bits past the end
+                    for tail in ((b"", b"\x5a") if cut == nbits else (b"",)):
+                        r = BitReader(data + tail)
+                        r.read(pad)
+                        try:
+                            got = r.read_trunc(bound)
+                        except CorruptStream:
+                            got = None
+                        assert got == want, (bound, cut, prefix, tail)
+                        assert got is None or 0 <= got < bound
 
 
 # -- LZ78 payload --------------------------------------------------------
@@ -678,9 +715,9 @@ class TestIdealizedCoder:
         rng = np.random.default_rng(34)
         x = bernoulli(rng, 640, 0.5)
         for src in (Fraction(1, 2), None):
-            for sizes in (None, {1: 3, 2: 5, 3: 7}):
-                cfg = LevelConfig(ell=2, level_sizes=sizes)
-                res = encode_idealized(x, Fraction(1, 4), src=src, cfg=cfg)
+            for caps in ({}, {1: 3, 2: 5, 3: 7}):
+                with capped_levels(caps):
+                    res = encode_idealized(x, Fraction(1, 4), src=src, cfg=LevelConfig(ell=2))
                 events = list(res.events)
                 assert res.stats.phrases == len(events)
                 assert res.stats.escapes == sum(e.kind == "escape" for e in events)
@@ -716,8 +753,10 @@ class TestIdealizedCoder:
         # a frontier of 2 outgrows (1 * 1)^4 / delta = 1
         rng = np.random.default_rng(38)
         x = bernoulli(rng, 200, 0.5)
-        cfg = LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})
-        res = encode_idealized(x, 1, cfg=cfg)
+        cfg = LevelConfig(ell=1, delta=1.0)
+        with capped_levels({1: 2}):
+            res = encode_idealized(x, 1, cfg=cfg)
+            assert decode(res.stream) == res.y
         assert res.stats.give_ups > 0
         # a frontier over the bound implies a give-up, so the frontier
         # check may flag runs by give-ups alone
@@ -725,7 +764,6 @@ class TestIdealizedCoder:
                 if size > (lvl * cfg.ell) ** 4 / cfg.delta]
         assert over
         assert res.stats.escapes >= res.stats.give_ups
-        assert decode(res.stream, cfg) == res.y
         assert hamming_distance(x, res.y) <= 1 * len(x)
 
     def test_sub_step_tail_is_escaped(self):
@@ -771,12 +809,14 @@ def reference_idealized(x, dist, src, cfg):
     The step reads each window with BitSequence.window and writes each
     slot with BitWriter.write_trunc, then the raw bits of an escape
     with write; the dictionary grows in the shared _idealized_parse.
-    promote is wrapped to count the codelets it admits.  Returns y, the
-    payload, its bit length, the give-up count and the promotions.
+    promote is wrapped to count the codelets it admits.  The dictionary
+    comes from codec.idealized_build_init, so capped_levels presets its
+    caps as it does the encoder's.  Returns y, the payload, its bit
+    length, the give-up count and the promotions.
     """
     n = x.length
     ell = cfg.ell
-    tree = idealized_build_init(cfg, dist)
+    tree = codec.idealized_build_init(cfg, dist)
     writer = BitWriter()
     admitted = []
     give_ups = 0
@@ -854,22 +894,54 @@ class TestIdealizedPhraseStep:
             x = bernoulli(rng, n, float(rng.uniform(0.2, 0.8)))
             d = Fraction(int(rng.integers(0, 40)), 100)
             configs = (
-                (d, LevelConfig(ell=default_step(n))),
-                (d, LevelConfig(ell=2, level_sizes={1: 3, 2: 5, 3: 7})),
-                (1, LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})),
+                (d, LevelConfig(ell=default_step(n)), {}),
+                (d, LevelConfig(ell=2), {1: 3, 2: 5, 3: 7}),
+                (1, LevelConfig(ell=1, delta=1.0), {1: 2}),
             )
-            for dist, cfg in configs:
+            for dist, cfg, caps in configs:
                 for src in (Fraction(1, 2), None):
-                    res = encode_idealized(x, dist, src, cfg)
-                    y, payload, nbits, give_ups, promotions = reference_idealized(
-                        x, dist, src, cfg)
-                    case = (n, dist, cfg, src)
+                    with capped_levels(caps):
+                        res = encode_idealized(x, dist, src, cfg)
+                        y, payload, nbits, give_ups, promotions = reference_idealized(
+                            x, dist, src, cfg)
+                    case = (n, dist, cfg, caps, src)
                     assert res.stream.payload == payload, case
                     assert res.stream.payload_bits == nbits, case
                     assert res.y == y, case
                     assert (res.stats.give_ups, res.stats.promotions) == (give_ups, promotions), case
                     cases += 1
         assert cases == 60
+
+
+@st.composite
+def public_encodes(draw):
+    """(x, D, p or None, LevelConfig) over every public idealized knob,
+    n <= 600."""
+    ell = draw(st.integers(1, 6))
+    delta = draw(st.sampled_from((0.01, 0.5, 1.0)))
+    dist = draw(st.sampled_from(D_VALUES))
+    src = draw(st.sampled_from((None, Fraction(3, 10), Fraction(1, 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = bernoulli(rng, draw(st.integers(0, 600)), 0.3)
+    return x, dist, src, LevelConfig(ell=ell, delta=delta)
+
+
+class TestDecodesFromBytesAlone:
+    def test_no_decoder_parameter_and_no_cap_setting(self):
+        assert list(inspect.signature(decode).parameters) == ["stream"]
+        assert [f.name for f in dataclasses.fields(LevelConfig)] == ["ell", "delta"]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(public_encodes())
+    def test_public_config_streams_decode_from_their_bytes(self, case):
+        # decode takes no config: the header's ell, p and D fix every
+        # level cap, and delta steers only the encoder's search, whose
+        # choices the records spell out
+        x, dist, src, cfg = case
+        res = encode_idealized(x, dist, src, cfg)
+        raw = res.stream.to_bytes()
+        assert decode(raw) == res.y
+        assert _cli_decode(raw) == EXIT_OK
 
 
 # -- parse events --------------------------------------------------------
@@ -884,33 +956,35 @@ def _event_logs(n):
     yield ideal, ideal.stats.phrases
 
 
-# caps small enough that level 1 fills early, so windows it cannot
-# match escape mid-stream
-_CAPPED = LevelConfig(ell=3, level_sizes={1: 3, 2: 5, 3: 7})
+# (config, preset caps) with caps small enough that level 1 fills
+# early, so windows it cannot match escape mid-stream
+_CAPPED = (LevelConfig(ell=3), {1: 3, 2: 5, 3: 7})
 
 
 @st.composite
 def coded_inputs(draw):
-    """(coder, x as 0/1 text, D, p or None, level config or None), n <= 300."""
+    """(coder, x as 0/1 text, D, p or None, level config or None, preset
+    caps), n <= 300."""
     coder = draw(st.sampled_from(("practical", "idealized")))
     x01 = draw(st.text(alphabet="01", max_size=300))
     dist = draw(st.sampled_from((Fraction(0), Fraction(1, 10), Fraction(1, 4))))
     src = draw(st.sampled_from((None, Fraction(1, 2), Fraction(3, 10))))
-    cfg = None
+    cfg, caps = None, {}
     if coder == "idealized":
-        cfg = draw(st.sampled_from((None, LevelConfig(ell=2), _CAPPED)))
-    return coder, x01, dist, src, cfg
+        cfg, caps = draw(st.sampled_from(((None, {}), (LevelConfig(ell=2), {}), _CAPPED)))
+    return coder, x01, dist, src, cfg, caps
 
 
-def _encode_noting_escapes(coder, x, dist, src, cfg):
-    """Encode x and list, per phrase, whether the coder escaped.
+def _encode_noting_escapes(coder, x, dist, src, cfg, caps):
+    """Encode x, under the preset caps, and list, per phrase, whether the
+    coder escaped.
 
     The idealized coder writes one slot per phrase, 0 for an escape;
     the practical coder searches once per phrase and escapes when
     find_matches finds no codelet.
     """
     escaped = []
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, capped_levels(caps):
         if coder == "idealized":
             write_trunc = BitWriter.write_trunc
 
@@ -1016,12 +1090,12 @@ class TestEventLog:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(coded_inputs(), st.integers(-310, 310), st.integers(-310, 310),
            st.sampled_from((1, 2, 3, -1, -2)))
-    @example(("idealized", "0110" * 50 + "1", Fraction(1, 10), None, _CAPPED), 5, -5, 2)
-    @example(("practical", "01101" * 60, Fraction(1, 8), Fraction(1, 2), None), -1, 3, -1)
+    @example(("idealized", "0110" * 50 + "1", Fraction(1, 10), None, *_CAPPED), 5, -5, 2)
+    @example(("practical", "01101" * 60, Fraction(1, 8), Fraction(1, 2), None, {}), -1, 3, -1)
     def test_events_tile_x_and_y(self, case, start, stop, step):
-        coder, x01, dist, src, cfg = case
+        coder, x01, dist, src, cfg, caps = case
         x = BitSequence.from_str(x01)
-        res, escaped = _encode_noting_escapes(coder, x, dist, src, cfg)
+        res, escaped = _encode_noting_escapes(coder, x, dist, src, cfg, caps)
         _assert_events_tile(res, x, escaped, coder == "idealized")
         events = list(res.events)
         assert res.events[start:stop:step] == events[start:stop:step]
@@ -1034,7 +1108,7 @@ class TestEventLog:
     def test_capped_levels_escape_mid_stream(self):
         # the capped config of the tiling test escapes before the tail
         x = bernoulli(np.random.default_rng(40), 300, 0.5)
-        res, escaped = _encode_noting_escapes("idealized", x, Fraction(1, 10), None, _CAPPED)
+        res, escaped = _encode_noting_escapes("idealized", x, Fraction(1, 10), None, *_CAPPED)
         assert any(escaped[:-1]) and not all(escaped)
         _assert_events_tile(res, x, escaped, True)
 
@@ -1084,10 +1158,10 @@ def _round_trip_grid():
             for relation in MatchRelation:
                 res = encode_practical(x, d, relation=relation, src=src)
                 assert decode(res.stream.to_bytes()) == res.y
-    cfg = LevelConfig(ell=1, delta=1.0, level_sizes={1: 2})
-    res = encode_idealized(bernoulli(rng, 200, 0.5), 1, cfg=cfg)
+    with capped_levels({1: 2}):
+        res = encode_idealized(bernoulli(rng, 200, 0.5), 1, cfg=LevelConfig(ell=1, delta=1.0))
+        assert decode(res.stream) == res.y
     assert res.stats.give_ups > 0
-    assert decode(res.stream, cfg) == res.y
 
 
 class TestCycleCollector:

@@ -242,17 +242,18 @@ class TestIdealizedBuild:
         assert tree.cap(2, HALF) == 16    # min(128, 4 * 4)
         assert tree.caps[1] == 4          # frozen after first query
 
-    def test_level_sizes_override(self):
-        tree = idealized_build_init(small_config(level_sizes={1: 2}), QUARTER)
+    def test_frozen_level1_cap_bounds_level2(self):
+        tree = idealized_build_init(small_config(), QUARTER)
+        tree.caps[1] = 2  # frozen before first use: cap() returns it as it stands
         assert tree.cap(1, HALF) == 2
-        assert tree.cap(2, HALF) == 8  # availability follows the override
+        assert tree.cap(2, HALF) == 8  # availability follows the frozen cap
 
     def test_fill_admits_exactly_the_prefixwise_matches_in_lex_order(self):
         for d in (0, Fraction(1, 8), QUARTER, Fraction(1, 3), HALF, 1):
             for ell in range(1, 5):
                 for w in range(1 << ell):
-                    cfg = small_config(ell=ell, level_sizes={1: 1 << ell})
-                    tree = idealized_build_init(cfg, d)
+                    tree = idealized_build_init(small_config(ell=ell), d)
+                    tree.caps[1] = 1 << ell
                     window = BitSequence(w, ell)
                     want = sorted((BitSequence(c, ell) for c in range(1 << ell)
                                    if matches_prefixwise(window, BitSequence(c, ell), d)),
@@ -262,7 +263,8 @@ class TestIdealizedBuild:
 
     def test_fill_admits_in_lex_order_up_to_cap(self):
         # D = 1 makes every pattern match, so lex order decides admission
-        tree = idealized_build_init(small_config(level_sizes={1: 3}), 1)
+        tree = idealized_build_init(small_config(), 1)
+        tree.caps[1] = 3
         added = tree.fill_level1(0b10, HALF)
         spelled = [n.sequence(2).to01() for n in added]
         assert spelled == ["00", "01", "10"]  # lex, stopped at the cap
@@ -283,7 +285,8 @@ class TestIdealizedBuild:
         assert again == []  # already admitted
 
     def test_promote_paths(self):
-        tree = idealized_build_init(small_config(level_sizes={1: 4, 2: 2}), QUARTER)
+        tree = idealized_build_init(small_config(), QUARTER)
+        tree.caps.update({1: 4, 2: 2})
         tree.fill_level1(0b00, HALF)
         base = members(tree, 1)[0]
         a = tree.promote(base, 0b11, HALF)
@@ -436,8 +439,8 @@ class TestIdealizedSearch:
     def test_give_up_on_a_flooded_frontier(self):
         # D = 1 with huge caps: level-3 frontier has 64^3 = 262144 live
         # codelets, beyond (3 * 6)^4 / delta = 104976
-        cfg = LevelConfig(ell=6, delta=1.0, level_sizes={1: 64, 2: 4096, 3: 262144})
-        tree = idealized_build_init(cfg, 1)
+        tree = idealized_build_init(LevelConfig(ell=6, delta=1.0), 1)
+        tree.caps.update({1: 64, 2: 4096, 3: 262144})
         tree.fill_level1(0, HALF)
         for node in members(tree, 1):
             for ext in range(64):
@@ -490,14 +493,14 @@ class TestContinuationMemo:
     def test_decoding_leaves_the_memo_untouched(self):
         # only search reads tables, and the decoder never searches, so no
         # stream, valid or hostile, can add, look up or evict one
-        streams = [(raw, cfg) for raw, cfg in STREAMS
+        streams = [raw for raw in STREAMS
                    if Header.unpack(raw).variant == VARIANT_IDEALIZED]
-        streams += [(hostile_wide_step_stream(dist), None) for dist in HOSTILE_DISTS]
+        streams += [hostile_wide_step_stream(dist) for dist in HOSTILE_DISTS]
         assert len(streams) == 5
         before = dictionary._continuation.cache_info()
-        for raw, cfg in streams:
+        for raw in streams:
             try:
-                decode(raw, cfg)
+                decode(raw)
             except CorruptStream:
                 pass
             assert dictionary._continuation.cache_info() == before
@@ -511,5 +514,3 @@ class TestLevelConfigValidation:
             LevelConfig(ell=17)
         with pytest.raises(ValueError):
             LevelConfig(ell=2, delta=0.0)
-        with pytest.raises(ValueError):
-            LevelConfig(ell=2, level_sizes={1: 0})

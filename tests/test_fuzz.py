@@ -4,7 +4,7 @@ Valid streams of both coders are mutated by payload bit flips, a
 replaced byte anywhere, truncation, or a random payload behind a valid
 header.  Every decode must either return y with len(y) equal to the
 header's n or raise CorruptStream, and `clp decode` must exit 2
-exactly when the decode it runs (default level config) is corrupt.
+exactly when that decode is corrupt.
 """
 
 import os
@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from level_caps import capped_levels
 
 from clp.bits import bernoulli
 from clp.cli import EXIT_CORRUPT, EXIT_OK, main
@@ -24,27 +25,33 @@ from clp.errors import CorruptStream
 from clp.matching import MatchRelation
 
 
+CAPS = {1: 3, 2: 5, 3: 7}
+
+
 def _streams():
-    """(stream bytes, decoder config) for a few small valid encodes."""
+    """Stream bytes of a few small encodes.  The last one is made with
+    preset level caps, so to the plain decoder it is hostile input."""
     rng = np.random.Generator(np.random.Philox(2024))
     x = bernoulli(rng, 300, 0.5)
     z = bernoulli(rng, 257, 0.3)
-    capped = LevelConfig(ell=3, level_sizes={1: 3, 2: 5, 3: 7})
+    with capped_levels(CAPS):
+        capped = encode_idealized(z, Fraction(11, 100), cfg=LevelConfig(ell=3))
     return (
-        (encode_practical(x, Fraction(1, 8)).stream.to_bytes(), None),
-        (encode_practical(z, Fraction(1, 10), MatchRelation.PREFIX_WISE,
-                          Fraction(3, 10)).stream.to_bytes(), None),
-        (encode_idealized(x, Fraction(1, 4), Fraction(1, 2)).stream.to_bytes(), None),
-        (encode_idealized(z, Fraction(11, 100), cfg=capped).stream.to_bytes(), capped),
+        encode_practical(x, Fraction(1, 8)).stream.to_bytes(),
+        encode_practical(z, Fraction(1, 10), MatchRelation.PREFIX_WISE,
+                         Fraction(3, 10)).stream.to_bytes(),
+        encode_idealized(x, Fraction(1, 4), Fraction(1, 2)).stream.to_bytes(),
+        capped.stream.to_bytes(),
     )
 
 
 STREAMS = _streams()
+VALID = STREAMS[:-1]  # made with the caps the header implies
 
 
 @st.composite
 def mutated_streams(draw):
-    raw, cfg = draw(st.sampled_from(STREAMS))
+    raw = draw(st.sampled_from(STREAMS))
     buf = bytearray(raw)
     kind = draw(st.sampled_from(("flip", "replace", "truncate", "payload")))
     if kind == "flip":
@@ -57,13 +64,13 @@ def mutated_streams(draw):
         del buf[draw(st.integers(0, len(raw) - 1)):]
     else:
         buf[Header.SIZE:] = draw(st.binary(max_size=2 * (len(raw) - Header.SIZE)))
-    return bytes(buf), cfg
+    return bytes(buf)
 
 
-def _decoded_length(data, cfg=None):
+def _decoded_length(data):
     """len(y) of the decode, or None when the stream is corrupt."""
     try:
-        return len(decode(data, cfg))
+        return len(decode(data))
     except CorruptStream:
         return None
 
@@ -77,18 +84,20 @@ def _cli_decode(data):
 
 
 def test_unmutated_streams_decode():
-    for raw, cfg in STREAMS:
-        assert _decoded_length(raw, cfg) == Header.unpack(raw).n
+    for raw in VALID:
+        assert _decoded_length(raw) == Header.unpack(raw).n
+    capped = STREAMS[-1]
+    n = Header.unpack(capped).n
+    with capped_levels(CAPS):
+        assert _decoded_length(capped) == n
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(mutated_streams())
-def test_mutated_stream_decodes_or_is_corrupt(case):
-    data, cfg = case
-    got = _decoded_length(data, cfg)
+def test_mutated_stream_decodes_or_is_corrupt(data):
+    got = _decoded_length(data)
     assert got is None or got == Header.unpack(data).n
-    default = got if cfg is None else _decoded_length(data)
-    assert _cli_decode(data) == (EXIT_CORRUPT if default is None else EXIT_OK)
+    assert _cli_decode(data) == (EXIT_CORRUPT if got is None else EXIT_OK)
 
 
 def test_streams_cut_at_every_byte():
@@ -97,10 +106,11 @@ def test_streams_cut_at_every_byte():
     # must each end in CorruptStream or a full-length y, both for the
     # LZ78 records of the practical coder and the slots of the idealized
     start = time.process_time()
-    for raw, cfg in STREAMS:
+    for raw in STREAMS:
         n = Header.unpack(raw).n
         for end in range(len(raw) + 1):
-            got = _decoded_length(raw[:end], cfg)
+            got = _decoded_length(raw[:end])
             assert got is None or got == n, end
-        assert got == n  # the last cut is the whole stream
+        if raw in VALID:
+            assert got == n  # the last cut is the whole stream
     assert time.process_time() - start < 1.0

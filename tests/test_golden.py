@@ -11,6 +11,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
+from level_caps import capped_levels
 
 from clp.bits import BitSequence, bernoulli
 from clp.codec import decode, encode_idealized, encode_practical
@@ -26,12 +27,13 @@ SOURCES = (P, None)
 
 
 def _configs(n):
-    """Default config, capped levels, and the loosest give-up budget."""
+    """(config, preset caps): default config, capped levels, and the
+    loosest give-up budget."""
     ell = default_step(n)
     return (
-        None,
-        LevelConfig(ell=ell, level_sizes={1: 3, 2: 5, 3: 7}),
-        LevelConfig(ell=ell, delta=1.0),
+        (None, {}),
+        (LevelConfig(ell=ell), {1: 3, 2: 5, 3: 7}),
+        (LevelConfig(ell=ell, delta=1.0), {}),
     )
 
 
@@ -61,9 +63,10 @@ def _grid_records():
                     assert decode(res.stream) == res.y
                     yield ("practical", n, d, src, relation.name,
                            res.stream.to_bytes(), _events(res.events))
-                for i, cfg in enumerate(_configs(n)):
-                    res = encode_idealized(x, d, src=src, cfg=cfg)
-                    assert decode(res.stream, cfg) == res.y
+                for i, (cfg, caps) in enumerate(_configs(n)):
+                    with capped_levels(caps):
+                        res = encode_idealized(x, d, src=src, cfg=cfg)
+                        assert decode(res.stream) == res.y
                     yield ("idealized", n, d, src, i, res.stream.to_bytes(),
                            _events(res.events), _stats(res.stats))
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from level_caps import capped_levels
 from test_harness_golden import CONFIGS, _check_records, _sweep_rows
 
 import clp.harness as harness
@@ -416,9 +417,10 @@ class TestFrozenLevel1:
     @staticmethod
     def assert_same_level1(ell, cap, dist, p, n, seed):
         x = bernoulli(np.random.default_rng(seed), n, float(p))
-        lc = LevelConfig(ell=ell, level_sizes={1: cap})
-        stopped = harness._frozen_level1(x, dist, p, lc)
-        tree = encode_idealized(x, dist, p, lc).stats.tree
+        lc = LevelConfig(ell=ell)
+        stopped = harness._frozen_level1(x, dist, p, lc, cap)
+        with capped_levels({1: cap}):
+            tree = encode_idealized(x, dist, p, lc).stats.tree
         assert list(stopped) == list(tree.level1)
         assert [node.ordinal for node in stopped.values()] == \
             [node.ordinal for node in tree.level1.values()]
@@ -432,7 +434,7 @@ class TestFrozenLevel1:
     @pytest.mark.parametrize("cell", NEVER_FROZEN)
     def test_equals_the_full_encode_that_never_freezes(self, cell):
         tree = self.assert_same_level1(*cell)
-        assert tree.caps.get(1) is None or tree.sizes[1] < tree.caps[1]
+        assert tree.sizes[1] < tree.caps[1]
 
     @pytest.mark.parametrize("block_bits", (1, 13))
     @pytest.mark.parametrize("cell", NEVER_FROZEN + FROZEN)
