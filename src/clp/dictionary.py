@@ -156,7 +156,15 @@ class LevelNode:
 class LevelConfig:
     """Shape of the idealized dictionary: its level step and the search's
     give-up slack.  Level caps are computed from (ell, p, D) on both
-    sides, and only the encoder searches, so the header decodes alone."""
+    sides, and only the encoder searches, so the header decodes alone.
+
+    delta rarely changes a stream.  A frontier of depth L = k * ell bits
+    holds at most 2^L distinct codelets, and search gives up only when it
+    holds more than L^4 / delta >= L^4 of them.  2^L <= L^4 for every L
+    from 2 to 16, so no search gives up at those depths, whatever delta
+    is; at L = 1 a give-up needs ell = 1, D = 1 and delta > 1/2, and
+    deeper than 16 bits it needs more than 17^4 = 83,521 matching
+    codelets on one level."""
 
     ell: int
     delta: float = 0.01
@@ -452,8 +460,10 @@ class CodebookTree:
         searches are kept without a record per call.  Sets give_up and
         stops descending when a level-k frontier outgrows
         (k * ell)^4 / delta, so check_frontier_growth counts give-ups
-        alone.  The oldest node is the one with the least ordinal; a
-        one-node frontier is its own.
+        alone.  That frontier holds at most 2^(k * ell) distinct codelets
+        and the bound is at least (k * ell)^4, so no search gives up at
+        depths of 2 to 16 bits (see LevelConfig).  The oldest node is the
+        one with the least ordinal; a one-node frontier is its own.
         """
         ell = self.ell
         mask = (1 << ell) - 1

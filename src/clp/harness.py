@@ -495,7 +495,10 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     Capping the first level below the candidate count makes admission
     genuinely random; over many independent builds every member of the
     optimal type class must enter the dictionary equally often.
-    Verified with a Pearson chi-square test at significance 0.01.
+    Verified with a Pearson chi-square test at significance 0.01: the
+    critical value is ``scipy.special.chdtri(k - 1, 0.01)`` and the p-value
+    ``chdtrc(k - 1, stat)``, the kernels that scipy's ``chi2.isf`` and
+    ``chi2.sf`` evaluate, without loading scipy's stats package.
 
     A build reads only level 1, so it parses only until that level is
     frozen: its cap is set and reached.  From then on fill_level1 has no
@@ -506,8 +509,9 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
     encoding a shorter input instead would narrow the last windows and
     could change the parse.
     """
-    # the only scipy user: importing it here keeps it off `import clp`
-    from scipy.stats import chi2
+    # the only scipy user: importing it here keeps it off `import clp`, and
+    # the special-function package alone loads a fraction of the stats one
+    from scipy.special import chdtrc, chdtri
 
     ell = cfg.step
     q = target_reproduction_type(cfg.p, cfg.dist)
@@ -528,8 +532,8 @@ def check_symmetry(cfg: ExperimentConfig) -> LemmaReport:
         raise ValueError("no type-class member was ever admitted; widen the build")
     expected = total / k
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
-    crit = float(chi2.isf(0.01, k - 1))
-    pval = float(chi2.sf(stat, k - 1))
+    crit = float(chdtri(k - 1, 0.01))
+    pval = float(chdtrc(k - 1, stat))
     return _report(
         "symmetry", stat, crit, builds, 0.0, "le",
         {

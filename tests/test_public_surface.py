@@ -1,5 +1,6 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export,
-and importing clp leaves scipy unloaded."""
+"""Every exported name resolves, so a deletion cannot leave a stale export;
+importing clp leaves scipy unloaded, and the symmetry check loads only
+scipy's special functions."""
 
 import importlib
 import os
@@ -23,13 +24,27 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_import_leaves_scipy_unloaded():
-    # scipy serves only check_symmetry, so the coders and the CLI start without it
+def _fresh_python(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(clp.__file__)))
-    code = "import sys, clp, clp.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only check_symmetry's chi-square tail, so the coders and
+    # the CLI start without any of it
+    code = ("import sys, clp, clp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_symmetry_check_loads_scipy_special_only():
+    # the chi-square tail comes from scipy.special; scipy.stats would load
+    # hundreds more modules and roughly double a lemma process's memory
+    code = ("import sys; from clp.harness import ExperimentConfig, check_symmetry; "
+            "r = check_symmetry(ExperimentConfig(trials=20, build_n=256, workers=1)); "
+            "print(r.passed, 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+    assert _fresh_python(code).split() == ["True", "True", "False"]
 
 
 def test_benchmark_trace_targets_resolve(monkeypatch):
