@@ -647,14 +647,6 @@ def check_short_phrases(cfg: ExperimentConfig) -> LemmaReport:
         })
 
 
-_POP8 = np.array([v.bit_count() for v in range(256)], dtype=np.uint8)
-
-
-def _ones(v: np.ndarray) -> np.ndarray:
-    """The ones count of each value below 2^16."""
-    return _POP8[v & 255] + _POP8[v >> 8]
-
-
 # pairs per block: enough that numpy, not the loop, does the work
 _PAIR_BLOCK = 1024
 
@@ -663,32 +655,40 @@ def _balls(base: np.ndarray, centers, weights: List[int]) -> List[Tuple[np.ndarr
     """The balls of centers, where x lies in B(c) iff base[x ^ c], as
     packed indicator rows, one matrix per distinct point weight (the
     weight of a point with k ones is weights[k]; all are equal when
-    p = 1/2).  Each matrix is gathered about 32k points at a time."""
+    p = 1/2).  Each row is padded with zero bytes to whole 64-bit words
+    and kept as a uint64 view, so the pair masses gather and count 8x
+    fewer elements than bytes.  Each matrix is gathered about 32k points
+    at a time."""
     pts = np.arange(base.size, dtype=np.uint16)
     distinct = list(dict.fromkeys(weights))
-    group = np.array([distinct.index(w) for w in weights])[_ones(pts)]
+    group = np.array([distinct.index(w) for w in weights])[np.bitwise_count(pts)]
     cs = np.asarray(centers, dtype=np.uint16)[:, None]
     out = []
     for g, weight in enumerate(distinct):
         members = pts[group == g]
         step = max(1, (1 << 15) // members.size)  # centers per gather
-        out.append((np.concatenate([np.packbits(base[members ^ cs[s:s + step]], axis=1)
-                                    for s in range(0, len(cs), step)]), weight))
+        width = -(-members.size // 8)  # bytes of a packed row
+        rows = np.zeros((len(cs), -(-width // 8) * 8), dtype=np.uint8)
+        for s in range(0, len(cs), step):
+            rows[s:s + step, :width] = np.packbits(base[members ^ cs[s:s + step]], axis=1)
+        out.append((rows.view(np.uint64), weight))
     return out
 
 
 def _pair_masses(balls: List[Tuple[np.ndarray, int]], a: np.ndarray, b: np.ndarray,
                  dtype) -> np.ndarray:
     """Exact source-mass numerators of B(a[i]) & B(b[i]): the
-    intersection's point count per weight, dotted with the weights,
-    about 32 kB of rows at a time."""
+    intersection's point count per weight, dotted with the weights.
+    Word rows are ANDed and counted by hardware popcount
+    (np.bitwise_count), about 32 kB of words at a time."""
     total = np.zeros(len(a), dtype=dtype)
-    for packed, weight in balls:
-        step = max(1, (1 << 15) // packed.shape[1])
+    for words, weight in balls:
+        step = max(1, (1 << 12) // words.shape[1])
         for s in range(0, len(a), step):
-            both = packed.take(a[s:s + step], axis=0)
-            both &= packed.take(b[s:s + step], axis=0)
-            total[s:s + step] += _POP8[both].sum(axis=1, dtype=np.uint32).astype(dtype) * weight
+            both = words.take(a[s:s + step], axis=0)
+            both &= words.take(b[s:s + step], axis=0)
+            ones = np.bitwise_count(both).sum(axis=1, dtype=np.uint32)
+            total[s:s + step] += ones.astype(dtype) * weight
     return total
 
 
@@ -725,8 +725,8 @@ def check_ball_intersection(cfg: ExperimentConfig) -> LemmaReport:
     w_lo = [pn ** k * (pd - pn) ** (depth - k) for k in range(depth + 1)]
     w_hi = [pn ** k * (pd - pn) ** (full - k) for k in range(full + 1)]
     pts = np.arange(1 << full, dtype=np.uint16)
-    base_hi = (_ones(pts & ((1 << depth) - 1)) <= r_lo) & (_ones(pts) <= r_hi)
-    base_lo = _ones(pts[:1 << depth]) <= r_lo
+    base_hi = (np.bitwise_count(pts & ((1 << depth) - 1)) <= r_lo) & (np.bitwise_count(pts) <= r_hi)
+    base_lo = np.bitwise_count(pts[:1 << depth]) <= r_lo
     rows = [y | e << depth for y in centers for e in exts]  # row y * len(exts) + e
     # a mass at length L is at most pd^L, so int64 is exact while every
     # product of two masses below is

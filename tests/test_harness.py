@@ -384,6 +384,40 @@ class TestIndividualChecks:
             check_short_phrases(cfg)
 
 
+@st.composite
+def word_balls(draw):
+    """One to three weight groups, each a bit width (1 to 3 words), rows
+    of that width as Python ints and a weight; a mass dtype; and the row
+    indices of pairs, often more than fit in one block."""
+    big = draw(st.booleans())  # weights above 2^63 need object masses
+    n_rows = draw(st.integers(1, 8))
+    groups = []
+    for _ in range(draw(st.integers(1, 3))):
+        width = draw(st.integers(1, 192))
+        rows = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n_rows, max_size=n_rows))
+        weight = draw(st.integers(2 ** 63, 2 ** 80) if big else st.integers(0, 2 ** 40))
+        groups.append((width, rows, weight))
+    n_pairs = draw(st.one_of(st.integers(1, 50), st.integers(4097, 9000)))
+    a, b = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).integers(
+        n_rows, size=(2, n_pairs))
+    return groups, (object if big else np.int64), a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(word_balls())
+def test_pair_masses_count_like_bit_count(case):
+    groups, dtype, a, b = case
+    # word k of a row holds its bits 64k .. 64k + 63; bits past the width are zero
+    balls = [(np.array([[(r >> 64 * k) & (2 ** 64 - 1) for k in range(-(-width // 64))]
+                        for r in rows], dtype=np.uint64), weight)
+             for width, rows, weight in groups]
+    got = harness._pair_masses(balls, a, b, dtype)
+    assert got.dtype == dtype
+    want = [sum((rows[i] & rows[j]).bit_count() * weight for _, rows, weight in groups)
+            for i, j in zip(a.tolist(), b.tolist())]
+    assert [int(v) for v in got] == want
+
+
 GOLDEN_DISTS = sorted({cfg.dist for cfg in CONFIGS})
 # (ell, cap, D, p, n, seed) whose full encode never fills level 1: n < ell
 # makes no full-length escape, and the others match fewer codelets than
