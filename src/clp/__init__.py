@@ -37,27 +37,20 @@ from .errors import (
 from .harness import ExperimentConfig, LemmaReport, rate_sweep, run_checks
 from .matching import (
     MatchRelation,
-    ball_probability,
     ball_probability_exact,
     canonical_type_sequence,
-    cycle_lemma_lower_bound,
     cycle_lemma_lower_bound_exact,
     hamming_distance,
-    match_probability,
     match_probability_exact,
     matches_full,
     matches_prefixwise,
-    type_of,
 )
 from .rd_math import (
-    BinaryJoint,
     DistortionBudget,
     SourceModel,
-    TypeFraction,
     binary_entropy,
     lower_mutual_info,
     lower_mutual_info_float,
-    mutual_information,
     optimal_reproduction_type,
     rate_distortion,
     target_reproduction_type,
@@ -75,12 +68,10 @@ __all__ = [
     "BadMagic", "CorruptStream", "EmptyMatchSet", "Infeasible",
     "LengthMismatch", "NotALeaf", "UnsupportedVersion", "ZeroRate",
     "ExperimentConfig", "LemmaReport", "rate_sweep", "run_checks",
-    "MatchRelation", "ball_probability", "ball_probability_exact",
-    "canonical_type_sequence", "cycle_lemma_lower_bound",
-    "cycle_lemma_lower_bound_exact", "hamming_distance", "match_probability",
-    "match_probability_exact", "matches_full", "matches_prefixwise", "type_of",
-    "BinaryJoint", "DistortionBudget", "SourceModel", "TypeFraction",
-    "binary_entropy", "lower_mutual_info", "lower_mutual_info_float",
-    "mutual_information", "optimal_reproduction_type", "rate_distortion",
+    "MatchRelation", "ball_probability_exact", "canonical_type_sequence",
+    "cycle_lemma_lower_bound_exact", "hamming_distance",
+    "match_probability_exact", "matches_full", "matches_prefixwise",
+    "DistortionBudget", "SourceModel", "binary_entropy", "lower_mutual_info",
+    "lower_mutual_info_float", "optimal_reproduction_type", "rate_distortion",
     "__version__",
 ]

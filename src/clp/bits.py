@@ -7,15 +7,17 @@ popcount.  A window is read from a little-endian byte view of
 ``value`` that the sequence makes on its first window and keeps, so it
 costs O(width) rather than a shift of all n bits; the view holds
 n/8 + 1 bytes for as long as the sequence lives.  Iteration and the
-string and bit-list conversions go through a transient byte or digit
-copy, so each is linear in n.  File bytes are interpreted MSB-first,
-so byte 0x80 is the sequence "10000000".
+string and byte conversions go through a transient byte or digit copy,
+so each is linear in n.  File bytes are interpreted MSB-first, so byte
+0x80 is the sequence "10000000": the byte conversions reverse the bits
+of each byte through one 256-entry table and read or write the result
+as a little-endian integer.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterator, List, Tuple
 
 import numpy as np
 
@@ -23,6 +25,9 @@ __all__ = ["BitSequence", "concat_bits", "bernoulli"]
 
 # the bits of each byte value, least significant first
 _BYTE_BITS = [tuple((byte >> j) & 1 for j in range(8)) for byte in range(256)]
+
+# bytes.translate table reversing the bit order of each byte
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 # str.translate table deleting the two binary digits
 _BINARY_DIGITS = {ord("0"): None, ord("1"): None}
@@ -66,11 +71,6 @@ class BitSequence:
         return cls(int(text[::-1], 2) if text else 0, len(text))
 
     @classmethod
-    def from_bits(cls, bits: Iterable[int]) -> "BitSequence":
-        flags = np.fromiter((1 if b else 0 for b in bits), dtype=np.uint8)
-        return cls(_pack_little(flags), len(flags))
-
-    @classmethod
     def from_bytes_msb(cls, data: bytes, nbits: int | None = None) -> "BitSequence":
         """Interpret raw bytes as a bit sequence, MSB of byte 0 first."""
         if nbits is None:
@@ -79,10 +79,8 @@ class BitSequence:
             raise ValueError("negative bit count")
         if nbits > 8 * len(data):
             raise ValueError("nbits exceeds the data")
-        if nbits == 0:
-            return cls(0, 0)
-        arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:nbits]
-        return cls(_pack_little(arr), nbits)
+        used = bytes(data[:(nbits + 7) >> 3]).translate(_REVERSED_BITS)
+        return cls(int.from_bytes(used, "little") & ((1 << nbits) - 1), nbits)
 
     @classmethod
     def zeros(cls, n: int) -> "BitSequence":
@@ -97,13 +95,7 @@ class BitSequence:
 
     def to_bytes_msb(self) -> bytes:
         """Pack back to bytes, MSB-first, zero-padded to a byte boundary."""
-        if self.length == 0:
-            return b""
-        nbytes = (self.length + 7) // 8
-        little = self.value.to_bytes(nbytes, "little")
-        arr = np.unpackbits(np.frombuffer(little, dtype=np.uint8), bitorder="little")
-        arr = arr[: self.length]
-        return np.packbits(arr).tobytes()
+        return self.value.to_bytes((self.length + 7) >> 3, "little").translate(_REVERSED_BITS)
 
     # -- queries -------------------------------------------------------
 

@@ -178,7 +178,7 @@ def _write_reports(reports: List[LemmaReport], out: Optional[str]) -> None:
 
 
 def _print_timing(name: str, report: LemmaReport, seconds: float) -> None:
-    print(f"timing {name}: {seconds:.3f} s, {report.samples} samples", file=sys.stderr)
+    print(f"timing {name}: {seconds:.6f} s, {report.samples} samples", file=sys.stderr)
 
 
 def _cmd_analyze(args) -> int:

@@ -220,10 +220,6 @@ class Header:
             return None
         return SourceModel(Fraction(self.p_num, self.p_den))
 
-    @property
-    def relation_enum(self) -> MatchRelation:
-        return MatchRelation(self.relation)
-
     def pack(self) -> bytes:
         return _HEADER.pack(MAGIC, FORMAT_VERSION, self.n, self.d_num, self.d_den,
                             self.p_num, self.p_den, self.ell, self.variant, self.relation)

@@ -10,7 +10,7 @@ Distortion thresholds compare exactly: with D = dn/dd the test
 "mismatches <= D * l" runs as "mismatches * dd <= dn * l" in integers,
 so budget boundaries like one flip in two symbols at D = 1/2 never fall
 to float rounding.  The probability routines are exact integer dynamic
-programs over a rational source; the public API returns floats.
+programs over a rational source and return exact Fractions.
 """
 
 from __future__ import annotations
@@ -20,19 +20,15 @@ from fractions import Fraction
 
 from .bits import BitSequence
 from .errors import LengthMismatch
-from .rd_math import DistortionBudget, SourceModel, TypeFraction, as_fraction
+from .rd_math import DistortionBudget, SourceModel, as_fraction
 
 __all__ = [
     "MatchRelation",
     "hamming_distance",
     "matches_full",
     "matches_prefixwise",
-    "type_of",
-    "ball_probability",
     "ball_probability_exact",
-    "match_probability",
     "match_probability_exact",
-    "cycle_lemma_lower_bound",
     "cycle_lemma_lower_bound_exact",
     "canonical_type_sequence",
 ]
@@ -87,12 +83,6 @@ def matches_prefixwise(x: BitSequence, y: BitSequence, dist) -> bool:
     return True
 
 
-def type_of(v: BitSequence) -> TypeFraction:
-    if v.length == 0:
-        raise ValueError("type of an empty sequence is undefined")
-    return TypeFraction(ones=v.value.bit_count(), length=v.length)
-
-
 def ball_probability_exact(y: BitSequence, dist, src) -> Fraction:
     """P(d_H(X, y) <= D * L) for X ~ Bernoulli(p)^L, exactly."""
     L = y.length
@@ -121,10 +111,6 @@ def _binomials(n: int) -> list:
     for i in range(1, n + 1):
         row[i] = row[i - 1] * (n - i + 1) // i
     return row
-
-
-def ball_probability(y: BitSequence, dist, src) -> float:
-    return float(ball_probability_exact(y, dist, src))
 
 
 def match_probability_exact(y: BitSequence, dist, src) -> Fraction:
@@ -160,10 +146,6 @@ def match_probability_exact(y: BitSequence, dist, src) -> Fraction:
     return Fraction(sum(state.values()), pd**L)
 
 
-def match_probability(y: BitSequence, dist, src) -> float:
-    return float(match_probability_exact(y, dist, src))
-
-
 def cycle_lemma_lower_bound_exact(y: BitSequence, dist, src) -> Fraction:
     """(1 - D/2)^2 / L times the ball probability of y, as a Fraction.
 
@@ -177,10 +159,6 @@ def cycle_lemma_lower_bound_exact(y: BitSequence, dist, src) -> Fraction:
     dn, dd = _rational(dist)
     factor = Fraction(2 * dd - dn, 2 * dd) ** 2 / L
     return factor * ball_probability_exact(y, dist, src)
-
-
-def cycle_lemma_lower_bound(y: BitSequence, dist, src) -> float:
-    return float(cycle_lemma_lower_bound_exact(y, dist, src))
 
 
 def canonical_type_sequence(L: int, q) -> BitSequence:

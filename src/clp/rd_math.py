@@ -19,10 +19,7 @@ from .errors import Infeasible
 __all__ = [
     "SourceModel",
     "DistortionBudget",
-    "TypeFraction",
-    "BinaryJoint",
     "binary_entropy",
-    "mutual_information",
     "rate_distortion",
     "lower_mutual_info",
     "lower_mutual_info_float",
@@ -109,55 +106,6 @@ class DistortionBudget:
         return self.d.denominator
 
 
-@dataclass(frozen=True)
-class TypeFraction:
-    """Empirical type of a binary string: ones / length."""
-
-    ones: int
-    length: int
-
-    def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("type of an empty sequence is undefined")
-        if not 0 <= self.ones <= self.length:
-            raise ValueError("ones outside [0, length]")
-
-    @property
-    def value(self) -> float:
-        return self.ones / self.length
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.ones, self.length)
-
-
-@dataclass(frozen=True)
-class BinaryJoint:
-    """Joint law of a bit pair (X, Y): marginals p, q and a = P(X=1, Y=1).
-
-    The four cell probabilities are a, p - a, q - a and 1 - p - q + a;
-    construction rejects parameters that push any cell below zero
-    (beyond float tolerance).
-    """
-
-    a: float
-    p: float
-    q: float
-
-    def __post_init__(self):
-        for c in self.cells():
-            if c < -1e-9:
-                raise ValueError("cell probability below zero")
-
-    def cells(self) -> tuple:
-        """(P(X=1,Y=1), P(X=1,Y=0), P(X=0,Y=1), P(X=0,Y=0))."""
-        a, p, q = self.a, self.p, self.q
-        return (a, p - a, q - a, 1.0 - p - q + a)
-
-    def expected_distortion(self) -> float:
-        return self.p + self.q - 2.0 * self.a
-
-
 def binary_entropy(t: float) -> float:
     """h(t) in bits, with the 0 log 0 = 0 convention."""
     if not 0.0 <= t <= 1.0:
@@ -171,15 +119,6 @@ def _plogp(c: float) -> float:
     return c * math.log2(c) if c > 0.0 else 0.0
 
 
-def mutual_information(joint: BinaryJoint) -> float:
-    """I(X;Y) in bits for a bit pair, never below zero."""
-    a, p, q = joint.a, joint.p, joint.q
-    cells = (a, p - a, q - a, 1.0 - p - q + a)
-    joint_h = -sum(_plogp(max(c, 0.0)) for c in cells)
-    info = binary_entropy(min(max(p, 0.0), 1.0)) + binary_entropy(min(max(q, 0.0), 1.0)) - joint_h
-    return max(info, 0.0)
-
-
 def rate_distortion(src, dist) -> float:
     """h(p) - h(D) when D < min(p, 1-p); zero once D reaches that point."""
     p = SourceModel.of(src).value
@@ -189,20 +128,13 @@ def rate_distortion(src, dist) -> float:
     return binary_entropy(p) - binary_entropy(d)
 
 
-def _feasible_interval(q: float, p: float, d: float) -> tuple:
-    """Range of a = P(X=1,Y=1) meeting both marginals and E d <= D."""
-    lo = max(0.0, p + q - 1.0, (p + q - d) / 2.0)
-    hi = min(p, q)
-    return min(lo, hi), hi
-
-
 def lower_mutual_info(q, src, dist) -> float:
     """Least I(X;Y) with X ~ Bern(p), Y ~ Bern(q), E[d_H] <= D.
 
-    The joint has one free parameter a = P(X=1,Y=1); I is convex in a
-    with its unconstrained minimum at independence, so the answer sits
-    at a = max(pq, (p+q-D)/2) clamped into the marginal bounds.
-    Raises Infeasible when |p - q| > D, since E[d_H] >= |p - q|.
+    The checked front of lower_mutual_info_float: reads q, p and D like
+    every public entry point, raises Infeasible when |p - q| > D (since
+    E[d_H] >= |p - q|), and answers zero when independent marginals
+    already meet the budget, both tests with 1e-12 of float slack.
     """
     qv = SourceModel.of(q).value
     p = SourceModel.of(src).value
@@ -211,16 +143,17 @@ def lower_mutual_info(q, src, dist) -> float:
         raise Infeasible(f"|p - q| = {abs(p - qv):.6g} exceeds D = {d:.6g}")
     if p + qv - 2.0 * p * qv <= d + _FEAS_EPS:
         return 0.0
-    lo, hi = _feasible_interval(qv, p, d)
-    a = min(max(p * qv, lo), hi)
-    return mutual_information(BinaryJoint(a=a, p=p, q=qv))
+    return lower_mutual_info_float(qv, p, d)
 
 
 def lower_mutual_info_float(q: float, p: float, d: float) -> float:
-    """Closed form of lower_mutual_info on plain floats, no validation.
+    """The closed form of I_m(q, p, D) on plain floats, no validation.
 
-    Callers must have settled feasibility (|p - q| <= D) already; this
-    is the hot-path version used when ranking many candidate types.
+    The joint has one free parameter a = P(X=1,Y=1); I is convex in a
+    with its unconstrained minimum at independence, so the answer sits
+    at a = max(pq, (p+q-D)/2) clamped to at most min(p, q).  Callers
+    must have settled feasibility (|p - q| <= D) already; the coder
+    calls this form directly when ranking many candidate types.
     """
     if p + q - 2.0 * p * q <= d:
         return 0.0

@@ -52,6 +52,7 @@ from clp.rd_math import (
     optimal_reproduction_type,
     rate_distortion,
 )
+from lz78_oracle import lz78_phrase_lengths
 from rd_oracle import lower_mutual_info_oracle_batch
 
 # harness reports are identical for any worker count (tests/test_harness.py
@@ -160,20 +161,6 @@ def test_criterion_02_worked_example_trace(capsys):
 # -- 3: lossless reduction -------------------------------------------------
 
 
-def _lz78_phrase_lengths(bits: str):
-    seen = {""}
-    out, cur = [], ""
-    for b in bits:
-        cur += b
-        if cur not in seen:
-            seen.add(cur)
-            out.append(len(cur))
-            cur = ""
-    if cur:
-        out.append(len(cur))
-    return out
-
-
 def test_criterion_03_lossless_reduction(capsys):
     t0 = time.perf_counter()
     problems = []
@@ -187,7 +174,7 @@ def test_criterion_03_lossless_reduction(capsys):
         rp = encode_practical(x, zero)
         if rp.y != x:
             bad_practical += 1
-        if [len(e.y_bits) for e in rp.events] != _lz78_phrase_lengths(x.to01()):
+        if [len(e.y_bits) for e in rp.events] != lz78_phrase_lengths(x.to01()):
             bad_bounds += 1
         ell = int(rng.integers(2, 5))
         ri = encode_idealized(x, zero, cfg=LevelConfig(ell=ell))

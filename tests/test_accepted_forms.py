@@ -17,13 +17,13 @@ from clp import (
     ExperimentConfig,
     Header,
     SourceModel,
-    ball_probability,
-    cycle_lemma_lower_bound,
+    ball_probability_exact,
+    cycle_lemma_lower_bound_exact,
     encode_idealized,
     encode_practical,
     level_size,
     lower_mutual_info,
-    match_probability,
+    match_probability_exact,
     matches_full,
     matches_prefixwise,
     optimal_reproduction_type,
@@ -43,9 +43,9 @@ CALLS = {
     "optimal_reproduction_type": lambda p, d: optimal_reproduction_type(p, d),
     "matches_full": lambda p, d: matches_full(X, Y, d),
     "matches_prefixwise": lambda p, d: matches_prefixwise(X, Y, d),
-    "ball_probability": lambda p, d: ball_probability(Y, d, p),
-    "match_probability": lambda p, d: match_probability(Y, d, p),
-    "cycle_lemma_lower_bound": lambda p, d: cycle_lemma_lower_bound(Y, d, p),
+    "ball_probability": lambda p, d: ball_probability_exact(Y, d, p),
+    "match_probability": lambda p, d: match_probability_exact(Y, d, p),
+    "cycle_lemma_lower_bound": lambda p, d: cycle_lemma_lower_bound_exact(Y, d, p),
     "level_size": lambda p, d: level_size(4, p, d),
     "Header.build": lambda p, d: Header.build(SOURCE.length, d, p),
     "encode_practical": lambda p, d: encode_practical(SOURCE, d, src=p).stream.to_bytes(),

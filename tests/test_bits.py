@@ -133,7 +133,7 @@ def test_windowed_sequence_pickles_without_its_byte_view():
 
 @pytest.mark.parametrize("lengths", [range(71), [2**16 + 3]], ids=["0-70", "2^16+3"])
 def test_conversions_agree_with_per_bit_windows(lengths):
-    # iteration and the string and bit-list conversions read y through
+    # iteration and the string conversions read y through
     # byte or digit copies; each must equal a walk of one-bit windows
     rng = np.random.default_rng(11)
     for length in lengths:
@@ -143,8 +143,6 @@ def test_conversions_agree_with_per_bit_windows(lengths):
         assert list(s) == bits
         assert s.to01() == text
         assert BitSequence.from_str(text) == s
-        assert BitSequence.from_bits(bits) == s
-        assert BitSequence.from_bits(b * 5 for b in bits) == s  # any truthy value is a 1
 
 
 def test_window_rejects_starts_outside_the_sequence():
@@ -196,11 +194,6 @@ def test_concat_matches_string_concat(parts):
 
 def test_concat_empty():
     assert concat_bits([]) == BitSequence(0, 0)
-
-
-def test_from_bits():
-    assert BitSequence.from_bits([1, 0, 1]).to01() == "101"
-    assert BitSequence.from_bits([]) == BitSequence.zeros(0)
 
 
 def test_zeros():

@@ -165,7 +165,7 @@ class TestAnalyze:
         lines = t_err.splitlines()
         assert [line.split(":")[0] for line in lines] == [
             "timing cycle_lemma", "timing ball_intersection"]
-        assert re.fullmatch(r"timing ball_intersection: \d+\.\d{3} s, 19600 samples", lines[1])
+        assert re.fullmatch(r"timing ball_intersection: \d+\.\d{6} s, 19600 samples", lines[1])
 
     def test_unknown_check(self):
         assert run("analyze", "--check", "no_such_thing") == EXIT_USAGE

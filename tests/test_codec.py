@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from level_caps import capped_levels
+from lz78_oracle import lz78_phrase_lengths
 from test_bits import counting_int_type
 from test_fuzz import _cli_decode
 from test_golden import D_VALUES
@@ -388,7 +389,6 @@ class TestHeader:
         assert back == h
         assert back.dist.d == Fraction(11, 100)
         assert back.src.p == Fraction(3, 10)
-        assert back.relation_enum is MatchRelation.PREFIX_WISE
 
     def test_unknown_source_round_trip(self):
         h = Header.build(n=5, dist=Fraction(0))
@@ -456,21 +456,6 @@ class TestHeader:
 
 
 # -- greedy coder --------------------------------------------------------
-
-
-def lz78_phrase_lengths(bits: str):
-    """Incremental parse oracle: each phrase extends a seen phrase by one bit."""
-    seen = {""}
-    out, cur = [], ""
-    for b in bits:
-        cur += b
-        if cur not in seen:
-            seen.add(cur)
-            out.append(len(cur))
-            cur = ""
-    if cur:
-        out.append(len(cur))
-    return out
 
 
 class TestPracticalCoder:
@@ -942,6 +927,20 @@ class TestDecodesFromBytesAlone:
         raw = res.stream.to_bytes()
         assert decode(raw) == res.y
         assert _cli_decode(raw) == EXIT_OK
+
+    @pytest.mark.parametrize("delta", [0.01, 0.5, 1.0])
+    def test_one_bit_levels_at_full_distortion_never_give_up(self, delta):
+        # ell = 1, D = 1 is the one public setting with a one-bit frontier
+        # that matches both codelets, yet level_size(1) = 1 caps level 1
+        # at one codelet, so no delta makes a search give up there
+        for n in (37, 200, 4096):
+            x = bernoulli(np.random.default_rng(n), n, 0.5)
+            res = encode_idealized(x, Fraction(1), None, LevelConfig(ell=1, delta=delta))
+            assert res.stats.tree.caps[1] == 1
+            assert res.stats.give_ups == 0
+            raw = res.stream.to_bytes()
+            assert decode(raw) == res.y
+            assert _cli_decode(raw) == EXIT_OK
 
 
 # -- parse events --------------------------------------------------------

@@ -17,17 +17,13 @@ from clp.bits import BitSequence
 from clp.errors import LengthMismatch
 from clp.matching import (
     MatchRelation,
-    ball_probability,
     ball_probability_exact,
     canonical_type_sequence,
-    cycle_lemma_lower_bound,
     cycle_lemma_lower_bound_exact,
     hamming_distance,
-    match_probability,
     match_probability_exact,
     matches_full,
     matches_prefixwise,
-    type_of,
 )
 
 
@@ -129,14 +125,6 @@ class TestRelations:
         assert int(MatchRelation.PREFIX_WISE) == 1
 
 
-class TestTypeOf:
-    def test_type_of(self):
-        t = type_of(BitSequence.from_str("0110"))
-        assert t.fraction == Fraction(1, 2)
-        with pytest.raises(ValueError):
-            type_of(BitSequence.zeros(0))
-
-
 class TestProbabilityOracles:
     # frozen: canonical y = 0101 (q = 1/2), D = 1/4, p = 1/2 has
     # prefix budgets 0,0,0,1, so x must copy the first three symbols
@@ -166,13 +154,6 @@ class TestProbabilityOracles:
                 p = Fraction(int(rng.integers(1, 10)), 10)
                 assert ball_probability_exact(y, d, p) == enum_ball_probability(y, d, p)
                 assert match_probability_exact(y, d, p) == enum_match_probability(y, d, p)
-
-    def test_float_wrappers(self):
-        y = canonical_type_sequence(6, Fraction(1, 2))
-        assert ball_probability(y, 0.25, 0.5) == pytest.approx(
-            float(ball_probability_exact(y, Fraction(1, 4), Fraction(1, 2))))
-        assert match_probability(y, 0.25, 0.5) == pytest.approx(
-            float(match_probability_exact(y, Fraction(1, 4), Fraction(1, 2))))
 
     def test_match_at_most_ball(self):
         rng = np.random.default_rng(12)
@@ -206,7 +187,6 @@ class TestCycleLemma:
         d, p = Fraction(1, 4), Fraction(1, 2)
         want = Fraction(7, 8) ** 2 / 4 * Fraction(5, 16)
         assert cycle_lemma_lower_bound_exact(y, d, p) == want
-        assert cycle_lemma_lower_bound(y, d, p) == pytest.approx(float(want))
 
     def test_bound_holds_on_canonical_sweep(self):
         for L in range(1, 13):

@@ -15,15 +15,12 @@ from hypothesis import strategies as st
 
 from clp.errors import Infeasible
 from clp.rd_math import (
-    BinaryJoint,
     DistortionBudget,
     SourceModel,
-    TypeFraction,
     as_fraction,
     binary_entropy,
     lower_mutual_info,
     lower_mutual_info_float,
-    mutual_information,
     optimal_reproduction_type,
     rate_distortion,
 )
@@ -176,35 +173,6 @@ class TestOptimalReproductionType:
             optimal_reproduction_type(0.5, 0.7)
 
 
-class TestMutualInformation:
-    def test_independent_pair_has_zero_information(self):
-        assert mutual_information(BinaryJoint(a=0.25, p=0.5, q=0.5)) == 0.0
-        assert mutual_information(BinaryJoint(a=0.06, p=0.2, q=0.3)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_identical_pair_has_entropy_information(self):
-        assert mutual_information(BinaryJoint(a=0.5, p=0.5, q=0.5)) == pytest.approx(1.0)
-        assert mutual_information(BinaryJoint(a=0.3, p=0.3, q=0.3)) == pytest.approx(H_03, abs=1e-12)
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=200)
-    def test_bounded_by_marginal_entropies(self, p, q, t):
-        lo = max(0.0, p + q - 1.0)
-        hi = min(p, q)
-        if hi < lo:
-            return
-        joint = BinaryJoint(a=lo + t * (hi - lo), p=p, q=q)
-        info = mutual_information(joint)
-        assert 0.0 <= info <= min(binary_entropy(p), binary_entropy(q)) + 1e-9
-
-    def test_joint_rejects_negative_cell(self):
-        with pytest.raises(ValueError):
-            BinaryJoint(a=0.5, p=0.2, q=0.9)
-
-    def test_expected_distortion(self):
-        assert BinaryJoint(a=0.5, p=0.5, q=0.5).expected_distortion() == 0.0
-        assert BinaryJoint(a=0.0, p=0.5, q=0.5).expected_distortion() == 1.0
-
-
 class TestWrapperTypes:
     def test_as_fraction_forms(self):
         assert as_fraction("11/100") == Fraction(11, 100)
@@ -235,12 +203,3 @@ class TestWrapperTypes:
         assert DistortionBudget.of(db) is db
         with pytest.raises(TypeError):
             DistortionBudget.of(sm)
-
-    def test_type_fraction(self):
-        t = TypeFraction(ones=3, length=8)
-        assert t.value == 0.375
-        assert t.fraction == Fraction(3, 8)
-        with pytest.raises(ValueError):
-            TypeFraction(ones=9, length=8)
-        with pytest.raises(ValueError):
-            TypeFraction(ones=0, length=0)
