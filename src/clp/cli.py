@@ -76,7 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--distortion", type=_fraction, required=True, metavar="NUM/DEN",
                      help="per-symbol Hamming budget D")
     enc.add_argument("--p", type=_fraction, default=None, metavar="NUM/DEN",
-                     help="source bias when known; estimated adaptively otherwise")
+                     help="source bias when known; without it the idealized "
+                          "coder sizes its levels for the input's bias and "
+                          "writes that in the stream")
     enc.add_argument("--variant", choices=("practical", "idealized"),
                      default="idealized")
     enc.add_argument("--ell", type=_step, default=0, metavar="K",

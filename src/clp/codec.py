@@ -9,7 +9,8 @@ Layout of a serialized stream (all integers big-endian):
     13      4     distortion numerator
     17      4     distortion denominator
     21      4     source-bias numerator
-    25      4     source-bias denominator (0xFFFFFFFF, numerator 0: unknown)
+    25      4     source-bias denominator (0xFFFFFFFF, numerator 0: unknown,
+                  practical coder only)
     29      2     level step ell (0 for the practical coder, 1-16 for the
                   idealized coder)
     31      1     coder id: 0 practical, 1 idealized
@@ -34,10 +35,11 @@ prefix-free and complete.  Encoder and decoder run the same parse
 loop, _idealized_parse, and only that loop grows the dictionary, so
 the slot ranges stay in lockstep by construction.  The header and
 payload alone determine the decode; decode takes no other parameter.
-Each level cap is computed from (ell, p, D) on both sides, with p
-estimated from y so far when the header leaves it unknown.  Bit
-order inside the payload is most-significant-first per byte; raw
-source bits appear in source order.
+Each level cap is computed from (ell, p, D) on both sides, with the
+header's p: an idealized header always carries one, x's bias when the
+caller gives none.  Bit order inside the payload is
+most-significant-first per byte; raw source bits appear in source
+order.
 
 Bit I/O goes by blocks, not by fields.  BitWriter gathers fields in an
 integer and emits its whole bytes once per block; BitReader keeps the
@@ -207,6 +209,8 @@ class Header:
                 raise ValueError("idealized level step out of range")
             if self.relation != MatchRelation.PREFIX_WISE:
                 raise ValueError("idealized stream with a full-codelet relation")
+            if self.p_den == _P_UNKNOWN:
+                raise ValueError("idealized stream with an unknown source bias")
         else:
             raise ValueError("unknown coder id")
 
@@ -731,17 +735,16 @@ def encode_practical(x: BitSequence, dist, relation: MatchRelation = MatchRelati
 # -- idealized coder ------------------------------------------------------
 
 
-def _estimate_src(parts: List[Tuple[int, int]], acc: int, y_len: int) -> SourceModel:
-    """The source model an unknown-source parse assumes: y's bias so far.
+def _source_bias(ones: int, n: int) -> Fraction:
+    """The source bias an idealized header carries when the caller gives
+    none: x's bias ones / n, 0 for an empty x, and past n = 0xFFFFFFFE
+    the nearest fraction whose denominator fits the header."""
+    if n == 0:
+        return Fraction(0)
+    return Fraction(ones, n).limit_denominator(0xFFFFFFFE)
 
-    y so far is the flushed parts followed by the accumulator acc.
-    """
-    ones = acc.bit_count() + sum(value.bit_count() for value, _ in parts)
-    return SourceModel(Fraction(ones, y_len))
 
-
-def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceModel],
-                     next_phrase) -> BitSequence:
+def _idealized_parse(n: int, ell: int, tree: CodebookTree, next_phrase) -> BitSequence:
     """The parse loop both idealized sides run; returns y.
 
     next_phrase(pos, rem) handles one record, writing it or reading it,
@@ -755,18 +758,10 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
     y is built in place: each phrase is ORed into an integer
     accumulator, flushed as one part once it holds _PART_BITS bits, and
     concat_bits joins the parts at the end.
-
-    A level's cap freezes the first time growth asks for it.  With the
-    source unknown (sm None) it is sized for y's bias up to and
-    including the phrase that freezes it; y's ones are counted, and
-    that estimate built, only when the level promote or fill_level1 is
-    about to use has no frozen cap, so at most once per level.
     """
     parts: List[Tuple[int, int]] = []
     add_part = parts.append
     promote, fill_level1 = tree.promote, tree.fill_level1
-    caps = tree.caps
-    known = sm is not None
     mask = (1 << ell) - 1
     pos = 0
     acc = fill = 0  # y's phrases not yet in parts, and their bit count
@@ -780,11 +775,9 @@ def _idealized_parse(n: int, ell: int, tree: CodebookTree, sm: Optional[SourceMo
             acc = fill = 0
         pos += seglen
         if prev_node is not None and seglen >= ell:
-            src = (sm if known or prev_node.level + 1 in caps
-                   else _estimate_src(parts, acc, pos))
-            promote(prev_node, seg & mask, src)
+            promote(prev_node, seg & mask)
         if node is None and seglen == ell:
-            fill_level1(seg, sm if known or 1 in caps else _estimate_src(parts, acc, pos))
+            fill_level1(seg)
         prev_node = node
     add_part((acc, fill))
     return concat_bits(parts)
@@ -859,20 +852,22 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
     extend the codelet used one phrase earlier to the next level.  A
     final sub-ell tail is escaped verbatim.
 
-    promotions and max_frontier are not counted per phrase; they are
-    read from the dictionary once the parse is done.
+    Every level cap is sized for src or, when it is None, for x's bias,
+    which the header then carries (see _source_bias).  promotions and
+    max_frontier are not counted per phrase; they are read from the
+    dictionary once the parse is done.
     """
     db = DistortionBudget.of(dist)
-    sm = None if src is None else SourceModel.of(src)
     n = x.length
+    sm = SourceModel.of(_source_bias(x.value.bit_count(), n) if src is None else src)
     if cfg is None:
         cfg = LevelConfig(ell=default_step(n))
     ell = cfg.ell
-    tree = idealized_build_init(cfg, db)
+    tree = idealized_build_init(cfg, db, sm)
     writer = BitWriter()
     nodes: List[Optional[LevelNode]] = []  # per phrase: the codelet written, None to escape
     stats = EncodeStats(tree=tree)
-    y = _idealized_parse(n, ell, tree, sm, _encoder_step(x, tree, writer, nodes, stats))
+    y = _idealized_parse(n, ell, tree, _encoder_step(x, tree, writer, nodes, stats))
     # totals counted once from the finished parse; only promote admits above level 1
     stats.phrases = len(nodes)
     stats.escapes = nodes.count(None)
@@ -887,7 +882,7 @@ def encode_idealized(x: BitSequence, dist, src=None, cfg: Optional[LevelConfig] 
 
 def _decode_idealized(header: Header, payload: bytes) -> BitSequence:
     ell = header.ell
-    tree = idealized_build_init(LevelConfig(ell=ell), header.dist)
+    tree = idealized_build_init(LevelConfig(ell=ell), header.dist, header.src)
     reader = BitReader(payload)
     read_trunc, admitted = reader.read_trunc, tree.admitted
 
@@ -902,7 +897,7 @@ def _decode_idealized(header: Header, payload: bytes) -> BitSequence:
             raise CorruptStream("codelet overruns the declared length")
         return node.bits, seglen, node
 
-    return _idealized_parse(header.n, ell, tree, header.src, next_phrase)
+    return _idealized_parse(header.n, ell, tree, next_phrase)
 
 
 @_no_cycle_gc

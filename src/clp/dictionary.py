@@ -207,10 +207,11 @@ def _continuation(ell: int, dn: int, dd: int, base: int, entering_mism: int) -> 
 
 
 class CodebookTree:
-    """Either dictionary behind one handle: a LevelConfig makes the
-    idealized level dictionary, no config the practical trie."""
+    """Either dictionary behind one handle: a LevelConfig and the source
+    bias p its level caps are sized for make the idealized level
+    dictionary, no config (and no p) the practical trie."""
 
-    def __init__(self, dist, cfg: Optional[LevelConfig] = None):
+    def __init__(self, dist, cfg: Optional[LevelConfig], src):
         self.dist = DistortionBudget.of(dist)
         self._dn, self._dd = self.dist.num, self.dist.den
         if cfg is None:
@@ -220,6 +221,7 @@ class CodebookTree:
             self.root.max_leaf_depth = 1
             return
         self.cfg, self.ell = cfg, cfg.ell
+        self.src = SourceModel.of(src)
         self.sizes: List[int] = [0, 0]  # codelets per level, index 0 unused
         # the empty codelet, never admitted: its children are level 1
         self.root = LevelNode(0, 0, -1)
@@ -351,15 +353,15 @@ class CodebookTree:
 
     # -- idealized side ----------------------------------------------
 
-    def cap(self, level: int, src) -> int:
+    def cap(self, level: int) -> int:
         """Most codelets a level may hold, frozen in caps the first time it
         is needed: level_size at the level's depth, capped by what the
         level above offers (2^ell at level 1, 2^ell per codelet above)."""
         got = self.caps.get(level)
         if got is not None:
             return got
-        target = level_size(level * self.ell, src, self.dist)
-        avail = (1 << self.ell) if level == 1 else self.cap(level - 1, src) << self.ell
+        target = level_size(level * self.ell, self.src, self.dist)
+        avail = (1 << self.ell) if level == 1 else self.cap(level - 1) << self.ell
         self.caps[level] = value = min(target, avail)
         return value
 
@@ -381,7 +383,7 @@ class CodebookTree:
         admitted.append(node)
         return node
 
-    def fill_level1(self, window_bits: int, src) -> List[LevelNode]:
+    def fill_level1(self, window_bits: int) -> List[LevelNode]:
         """Admit level-1 codelets prefix-wise matching the window, up to cap.
 
         Walks codelets depth first, 0 before 1 (lex order), dropping a
@@ -389,17 +391,12 @@ class CodebookTree:
         always completes by copying the window, so the walk costs
         O(ell * cap) rather than a scan of all 2^ell patterns.  A window
         seen before admits nothing: its first fill either filled level 1
-        or admitted every match, and the cap froze then.  Like promote,
-        it reads a frozen cap from caps, so src is read only by the
-        first fill.
+        or admitted every match, and the cap froze then.
         """
         if window_bits in self._filled:
             return []
         self._filled.add(window_bits)
-        cap = self.caps.get(1)
-        if cap is None:
-            cap = self.cap(1, src)
-        room = cap - self.sizes[1]
+        room = self.cap(1) - self.sizes[1]
         added: List[LevelNode] = []
         stack = [(0, 0, 0)]  # (bits, length, mismatches)
         while stack and len(added) < room:
@@ -415,16 +412,15 @@ class CodebookTree:
                 self.level1[bits] = added[-1]
         return added
 
-    def promote(self, leaf: LevelNode, extension: int, src) -> Optional[LevelNode]:
+    def promote(self, leaf: LevelNode, extension: int) -> Optional[LevelNode]:
         """Admit one extension of a codelet to the next level.
 
         Returns the new node, or None when the extension is already
         admitted or the next level is full.  The next level's cap
         freezes when first asked, so it is asked only for a new
-        extension, and src is read only while that cap is unfrozen:
-        once frozen it is read from caps without calling cap().  The
-        first extension admitted below a codelet creates its children
-        dict.
+        extension; once frozen it is read from caps without calling
+        cap().  The first extension admitted below a codelet creates its
+        children dict.
         """
         children = leaf.children
         if extension in children:
@@ -433,7 +429,7 @@ class CodebookTree:
         nxt = level + 1
         cap = self.caps.get(nxt)
         if cap is None:
-            cap = self.cap(nxt, src)
+            cap = self.cap(nxt)
         if nxt < len(self.sizes) and self.sizes[nxt] >= cap:
             return None
         node = self._admit(leaf.bits | (extension << (level * self.ell)), nxt)
@@ -525,10 +521,11 @@ class CodebookTree:
 
 def init_practical(dist) -> CodebookTree:
     """Practical dictionary at birth: the two single-symbol codelets."""
-    return CodebookTree(dist)
+    return CodebookTree(dist, None, None)
 
 
-def idealized_build_init(cfg: LevelConfig, dist) -> CodebookTree:
-    """Leveled dictionary at birth: empty until the first escape."""
-    return CodebookTree(dist, cfg)
+def idealized_build_init(cfg: LevelConfig, dist, src) -> CodebookTree:
+    """Leveled dictionary at birth, its caps sized for source bias src:
+    empty until the first escape."""
+    return CodebookTree(dist, cfg, src)
 

@@ -464,7 +464,7 @@ def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig, cap: int) -> Dict
     """Level 1 of the dictionary encode_idealized(x, dist, src, lc) grows
     when level 1 holds at most cap codelets (cap <= 2^ell), parsed only
     until that level is frozen (see check_symmetry)."""
-    tree = idealized_build_init(lc, dist)
+    tree = idealized_build_init(lc, dist, src)
     tree.caps[1] = cap  # frozen in advance; cap() returns it as it stands
     step = _encoder_step(x, tree, BitWriter(), [], EncodeStats(tree=tree))
     caps, sizes = tree.caps, tree.sizes
@@ -475,7 +475,7 @@ def _frozen_level1(x: BitSequence, dist, src, lc: LevelConfig, cap: int) -> Dict
         return step(pos, rem)
 
     try:
-        _idealized_parse(x.length, lc.ell, tree, SourceModel.of(src), until_frozen)
+        _idealized_parse(x.length, lc.ell, tree, until_frozen)
     except _Level1Frozen:
         pass
     return tree.level1

@@ -31,8 +31,8 @@ def capped_levels(caps):
     """Preset caps in every dictionary the coders build; {} presets none."""
     build = codec.idealized_build_init
 
-    def capped_build(cfg, dist):
-        tree = build(cfg, dist)
+    def capped_build(cfg, dist, src):
+        tree = build(cfg, dist, src)
         tree.caps.update(clamped_caps(caps, cfg.ell))
         return tree
 

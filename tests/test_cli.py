@@ -105,6 +105,15 @@ class TestEncodeDecode:
         run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")
         blob = bytearray(enc.read_bytes())
         blob[21:25] = (12345).to_bytes(4, "big")  # p numerator beside the "unknown" denominator
+        blob[25:29] = b"\xff" * 4
+        enc.write_bytes(bytes(blob))
+        assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
+
+    def test_idealized_stream_with_unknown_source(self, tmp_path, raw_file):
+        enc = tmp_path / "out.clp"
+        run("encode", "--in", raw_file, "--out", enc, "--distortion", "1/4")
+        blob = bytearray(enc.read_bytes())
+        blob[21:29] = bytes(4) + b"\xff" * 4  # p "unknown", which no idealized header may say
         enc.write_bytes(bytes(blob))
         assert run("decode", "--in", enc, "--out", tmp_path / "y") == EXIT_CORRUPT
 

@@ -47,7 +47,7 @@ from clp.dictionary import (
 )
 from clp.errors import BadMagic, CorruptStream, UnsupportedVersion
 from clp.matching import MatchRelation, hamming_distance
-from clp.rd_math import SourceModel, lower_mutual_info_float
+from clp.rd_math import lower_mutual_info_float
 
 
 # -- bit-level I/O -------------------------------------------------------
@@ -418,7 +418,7 @@ class TestHeader:
 
     def test_oversized_level_step_is_corrupt(self):
         # rejected from the header alone, before any 2^ell table exists
-        raw = bytearray(Header.build(n=9, dist=Fraction(1, 4), ell=2,
+        raw = bytearray(Header.build(n=9, dist=Fraction(1, 4), src=Fraction(1, 2), ell=2,
                                      variant=VARIANT_IDEALIZED,
                                      relation=MatchRelation.PREFIX_WISE).pack())
         raw[29:31] = b"\xff\xff"
@@ -444,11 +444,31 @@ class TestHeader:
     def test_unknown_source_with_nonzero_numerator_is_corrupt(self, encode):
         res = encode(BitSequence.from_str("0110101101000"), Fraction(1, 4))
         raw = bytearray(res.stream.to_bytes())
-        assert raw[21:25] == bytes(4) and raw[25:29] == b"\xff" * 4
-        assert decode(bytes(raw)) == res.y
         raw[21:25] = (12345).to_bytes(4, "big")
+        raw[25:29] = b"\xff" * 4  # the "unknown" denominator
         with pytest.raises(CorruptStream):
             decode(bytes(raw))
+
+    def test_practical_stream_without_source_says_unknown(self):
+        # the practical coder never reads p, so it writes none it was not given
+        res = encode_practical(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = res.stream.to_bytes()
+        assert raw[21:25] == bytes(4) and raw[25:29] == b"\xff" * 4
+        assert decode(raw) == res.y
+
+    def test_idealized_stream_with_unknown_source_is_corrupt(self):
+        # both sides size every level cap from the header's p, so an
+        # idealized header must carry one
+        res = encode_idealized(BitSequence.from_str("0110101101000"), Fraction(1, 4))
+        raw = bytearray(res.stream.to_bytes())
+        assert raw[25:29] != b"\xff" * 4
+        raw[21:25] = bytes(4)
+        raw[25:29] = b"\xff" * 4
+        with pytest.raises(CorruptStream):
+            decode(bytes(raw))
+        with pytest.raises(ValueError):
+            Header.build(n=13, dist=Fraction(1, 4), ell=2, variant=VARIANT_IDEALIZED,
+                         relation=MatchRelation.PREFIX_WISE)
 
     def test_build_validates_fraction_range(self):
         with pytest.raises(ValueError):
@@ -670,7 +690,7 @@ class TestIdealizedCoder:
         rng = np.random.default_rng(32)
         x = bernoulli(rng, 500, 0.3)
         res = encode_idealized(x, Fraction(1, 10))
-        assert res.stream.header.src is None
+        assert res.stream.header.src.p == Fraction(x.to01().count("1"), 500)
         assert decode(res.stream) == res.y
 
     def test_decode_is_linear_in_n(self):
@@ -711,27 +731,37 @@ class TestIdealizedCoder:
                 assert res.stats.give_ups == 0
                 assert sum(len(e.y_bits) for e in events) == 640
 
-    def test_unknown_source_estimates_only_to_freeze_caps(self, monkeypatch):
-        # with p unknown, a cap is sized for y's bias so far; that
-        # estimate is built only when a cap is about to freeze, in
-        # encode and decode alike, not once per phrase
-        built = []
+    def test_unknown_source_encodes_as_x_bias(self):
+        # with p unknown the encoder writes x's bias, ones / n (0 at
+        # n = 0), and sizes every cap from it: the stream is byte for
+        # byte that of the same bias passed as a known p
+        for n in (0, 1, 37, 1000):
+            random = bernoulli(np.random.Generator(np.random.Philox(n)), n, 0.3)
+            for x in (random, BitSequence(0, n), BitSequence((1 << n) - 1, n)):
+                ones = x.to01().count("1")
+                for d in D_VALUES:
+                    res = encode_idealized(x, d)
+                    known = encode_idealized(x, d, src=Fraction(ones, n) if n else Fraction(0))
+                    case = (n, ones, d)
+                    assert res.stream.to_bytes() == known.stream.to_bytes(), case
+                    assert decode(res.stream.to_bytes()) == res.y, case
 
-        class Counting(SourceModel):
-            def __post_init__(self):
-                built.append(self.p)
-                super().__post_init__()
-
-        monkeypatch.setattr(codec, "SourceModel", Counting)
-        for n in (1000, 4099):
-            x = bernoulli(np.random.Generator(np.random.Philox(n)), n, 0.3)
-            built.clear()
-            res = encode_idealized(x, Fraction(11, 100))
-            caps = len(res.stats.tree.caps)
-            assert 1 <= len(built) <= caps < res.stats.phrases
-            built.clear()
-            assert decode(res.stream) == res.y
-            assert 1 <= len(built) <= caps
+    def test_source_bias_fits_the_header(self):
+        # past a denominator of 0xFFFFFFFE the bias is the nearest
+        # fraction the header's u32 fields hold; no 2^40-bit x is built
+        big = 1 << 40
+        assert codec._source_bias(0, 0) == 0
+        assert codec._source_bias(big // 2, big) == Fraction(1, 2)
+        assert codec._source_bias(big, big) == 1
+        assert codec._source_bias(1, 0xFFFFFFFE) == Fraction(1, 0xFFFFFFFE)
+        assert codec._source_bias(1, 0xFFFFFFFF) == Fraction(1, 0xFFFFFFFE)
+        ones = big // 3
+        p = codec._source_bias(ones, big)
+        assert p.denominator <= 0xFFFFFFFE
+        assert abs(p - Fraction(ones, big)) < Fraction(1, 0xFFFFFFFE)
+        h = Header.build(n=big, dist=Fraction(11, 100), src=p, ell=default_step(big),
+                         variant=VARIANT_IDEALIZED, relation=MatchRelation.PREFIX_WISE)
+        assert Header.unpack(h.pack()).src.p == p
 
     def test_flooded_frontier_gives_up_and_escapes(self):
         # D = 1 at ell = 1: both level-1 codelets match every window, and
@@ -796,19 +826,21 @@ def reference_idealized(x, dist, src, cfg):
     with write; the dictionary grows in the shared _idealized_parse.
     promote is wrapped to count the codelets it admits.  The dictionary
     comes from codec.idealized_build_init, so capped_levels presets its
-    caps as it does the encoder's.  Returns y, the payload, its bit
+    caps as it does the encoder's, and its caps are sized for src, or
+    for x's bias when src is None.  Returns y, the payload, its bit
     length, the give-up count and the promotions.
     """
     n = x.length
     ell = cfg.ell
-    tree = codec.idealized_build_init(cfg, dist)
+    p = Fraction(x.to01().count("1"), n) if src is None else src
+    tree = codec.idealized_build_init(cfg, dist, p)
     writer = BitWriter()
     admitted = []
     give_ups = 0
     promote = tree.promote
 
-    def counted_promote(leaf, extension, src):
-        node = promote(leaf, extension, src)
+    def counted_promote(leaf, extension):
+        node = promote(leaf, extension)
         admitted.append(node is not None)
         return node
 
@@ -832,7 +864,7 @@ def reference_idealized(x, dist, src, cfg):
         writer.write_trunc(best.ordinal + 1, bound)
         return best.bits, best.level * ell, best
 
-    y = codec._idealized_parse(n, ell, tree, None if src is None else SourceModel.of(src), step)
+    y = codec._idealized_parse(n, ell, tree, step)
     return y, writer.getvalue(), writer.bit_length, give_ups, sum(admitted)
 
 

@@ -69,11 +69,11 @@ def test_level_size_is_cached_across_dictionaries(monkeypatch):
     monkeypatch.setattr(dictionary, "match_probability_exact", counting)
     dictionary._level_size.cache_clear()
     cfg, p, d = LevelConfig(ell=3), Fraction(2, 5), Fraction(3, 29)
-    first = idealized_build_init(cfg, d)
-    caps = [first.cap(level, p) for level in (1, 2, 3)]
+    first = idealized_build_init(cfg, d, p)
+    caps = [first.cap(level) for level in (1, 2, 3)]
     assert len(calls) == 3
-    second = idealized_build_init(cfg, d)
-    assert [second.cap(level, p) for level in (1, 2, 3)] == caps
+    second = idealized_build_init(cfg, d, p)
+    assert [second.cap(level) for level in (1, 2, 3)] == caps
     assert second.caps == first.caps
     assert len(calls) == 3
 
@@ -237,65 +237,65 @@ def small_config(**kw):
 
 class TestIdealizedBuild:
     def test_caps_cut_by_availability(self):
-        tree = idealized_build_init(small_config(), QUARTER)
-        assert tree.cap(1, HALF) == 4     # min(16, 2^2)
-        assert tree.cap(2, HALF) == 16    # min(128, 4 * 4)
+        tree = idealized_build_init(small_config(), QUARTER, HALF)
+        assert tree.cap(1) == 4     # min(16, 2^2)
+        assert tree.cap(2) == 16    # min(128, 4 * 4)
         assert tree.caps[1] == 4          # frozen after first query
 
     def test_frozen_level1_cap_bounds_level2(self):
-        tree = idealized_build_init(small_config(), QUARTER)
+        tree = idealized_build_init(small_config(), QUARTER, HALF)
         tree.caps[1] = 2  # frozen before first use: cap() returns it as it stands
-        assert tree.cap(1, HALF) == 2
-        assert tree.cap(2, HALF) == 8  # availability follows the frozen cap
+        assert tree.cap(1) == 2
+        assert tree.cap(2) == 8  # availability follows the frozen cap
 
     def test_fill_admits_exactly_the_prefixwise_matches_in_lex_order(self):
         for d in (0, Fraction(1, 8), QUARTER, Fraction(1, 3), HALF, 1):
             for ell in range(1, 5):
                 for w in range(1 << ell):
-                    tree = idealized_build_init(small_config(ell=ell), d)
+                    tree = idealized_build_init(small_config(ell=ell), d, HALF)
                     tree.caps[1] = 1 << ell
                     window = BitSequence(w, ell)
                     want = sorted((BitSequence(c, ell) for c in range(1 << ell)
                                    if matches_prefixwise(window, BitSequence(c, ell), d)),
                                   key=BitSequence.to01)
-                    got = [n.sequence(ell) for n in tree.fill_level1(w, HALF)]
+                    got = [n.sequence(ell) for n in tree.fill_level1(w)]
                     assert got == want, (d, ell, w)
 
     def test_fill_admits_in_lex_order_up_to_cap(self):
         # D = 1 makes every pattern match, so lex order decides admission
-        tree = idealized_build_init(small_config(), 1)
+        tree = idealized_build_init(small_config(), 1, HALF)
         tree.caps[1] = 3
-        added = tree.fill_level1(0b10, HALF)
+        added = tree.fill_level1(0b10)
         spelled = [n.sequence(2).to01() for n in added]
         assert spelled == ["00", "01", "10"]  # lex, stopped at the cap
-        assert tree.fill_level1(0b11, HALF) == []  # already full
+        assert tree.fill_level1(0b11) == []  # already full
         assert tree.sizes[1] == 3
 
     def test_starts_with_no_codelets(self):
-        tree = idealized_build_init(LevelConfig(ell=16), QUARTER)
+        tree = idealized_build_init(LevelConfig(ell=16), QUARTER, HALF)
         assert tree.level1 == {} and tree.admitted == []
         assert tree.max_level() == 1 and tree.sizes == [0, 0]
 
     def test_fill_with_zero_budget_admits_only_the_window(self):
-        tree = idealized_build_init(small_config(), QUARTER)  # floor(2/4) = 0
-        added = tree.fill_level1(0b10, HALF)
+        tree = idealized_build_init(small_config(), QUARTER, HALF)  # floor(2/4) = 0
+        added = tree.fill_level1(0b10)
         assert [n.bits for n in added] == [0b10]
         assert tree.level1 == {0b10: added[0]} and tree.admitted == added
-        again = tree.fill_level1(0b10, HALF)
+        again = tree.fill_level1(0b10)
         assert again == []  # already admitted
 
     def test_promote_paths(self):
-        tree = idealized_build_init(small_config(), QUARTER)
+        tree = idealized_build_init(small_config(), QUARTER, HALF)
         tree.caps.update({1: 4, 2: 2})
-        tree.fill_level1(0b00, HALF)
+        tree.fill_level1(0b00)
         base = members(tree, 1)[0]
-        a = tree.promote(base, 0b11, HALF)
+        a = tree.promote(base, 0b11)
         assert a.level == 2 and a.sequence(2).to01() == "0011"
         admitted = list(tree.admitted)
-        assert tree.promote(base, 0b11, HALF) is None  # already admitted
+        assert tree.promote(base, 0b11) is None  # already admitted
         assert tree.admitted == admitted and base.children == {0b11: a}
-        assert tree.promote(base, 0b01, HALF) is not None
-        assert tree.promote(base, 0b10, HALF) is None  # level 2 is full
+        assert tree.promote(base, 0b01) is not None
+        assert tree.promote(base, 0b10) is None  # level 2 is full
         assert tree.sizes[2] == 2 and 0b10 not in base.children
 
     @pytest.mark.parametrize("dist", HOSTILE_DISTS, ids=["0", "1/4", "1/3"])
@@ -314,10 +314,10 @@ class TestIdealizedBuild:
         assert tree.sizes == [0] + [len(members(tree, k)) for k in range(1, len(tree.sizes))]
 
     def test_admission_order_is_recorded(self):
-        tree = idealized_build_init(small_config(), 1)
-        tree.fill_level1(0b00, HALF)
+        tree = idealized_build_init(small_config(), 1, HALF)
+        tree.fill_level1(0b00)
         node = members(tree, 1)[2]
-        child = tree.promote(node, 0b01, HALF)
+        child = tree.promote(node, 0b01)
         assert [n.ordinal for n in tree.admitted] == list(range(5))
         assert tree.admitted[-1] is child
 
@@ -329,16 +329,16 @@ def members(tree: CodebookTree, level: int) -> list:
 
 def grow_idealized(rng, cfg: LevelConfig, dist, steps: int) -> CodebookTree:
     """Random usage-driven growth: fills and promotions from random data."""
-    tree = idealized_build_init(cfg, dist)
+    tree = idealized_build_init(cfg, dist, HALF)
     for _ in range(steps):
         w = int(rng.integers(0, 1 << cfg.ell))
-        tree.fill_level1(w, HALF)
+        tree.fill_level1(w)
         level = int(rng.integers(1, max(2, tree.max_level() + 1)))
         nodes = members(tree, level)
         if nodes:
             node = nodes[int(rng.integers(len(nodes)))]
             ext = int(rng.integers(0, 1 << cfg.ell))
-            tree.promote(node, ext, HALF)
+            tree.promote(node, ext)
     return tree
 
 
@@ -403,35 +403,35 @@ class TestIdealizedSearch:
                         assert got is brute_deepest_match(tree, window, d), case
 
     def test_short_window_returns_nothing(self):
-        tree = idealized_build_init(small_config(), QUARTER)
-        tree.fill_level1(0, HALF)
+        tree = idealized_build_init(small_config(), QUARTER, HALF)
+        tree.fill_level1(0)
         window = BitSequence.from_str("0")
         best, give_up = tree.search(window.value, window.length)
         assert best is None and not give_up
 
     def test_tie_breaks_by_admission_order(self):
-        tree = idealized_build_init(small_config(), 1)  # D = 1: everything matches
-        tree.fill_level1(0b00, HALF)
+        tree = idealized_build_init(small_config(), 1, HALF)  # D = 1: everything matches
+        tree.fill_level1(0b00)
         window = BitSequence.from_str("11")
         best, _ = tree.search(window.value, window.length)
         assert best is members(tree, 1)[0]  # oldest admitted wins
 
     def test_frontier_records_members_per_level(self):
-        tree = idealized_build_init(small_config(), 1)
-        tree.fill_level1(0, HALF)
+        tree = idealized_build_init(small_config(), 1, HALF)
+        tree.fill_level1(0)
         window = BitSequence.from_str("10")
         assert search_widths(tree, window)[2] == {1: 4}  # D = 1: all four level-1 codelets
 
     def test_widest_keeps_each_levels_maximum_over_searches(self):
-        tree = idealized_build_init(small_config(), 1)  # D = 1: everything matches
+        tree = idealized_build_init(small_config(), 1, HALF)  # D = 1: everything matches
         assert tree.widest == [0, 0]
-        tree.fill_level1(0, HALF)
+        tree.fill_level1(0)
         tree.search(0b10, 2)
         assert tree.widest == [0, 4]
         tree.widest[1] = 7  # a wider past search is never lowered
         tree.search(0b01, 2)
         assert tree.widest == [0, 7]
-        tree.promote(members(tree, 1)[0], 0b11, HALF)  # a new level gets its own entry
+        tree.promote(members(tree, 1)[0], 0b11)  # a new level gets its own entry
         assert tree.widest == [0, 7, 0]
         tree.search(0b0110, 4)
         assert tree.widest == [0, 7, 1]
@@ -439,15 +439,15 @@ class TestIdealizedSearch:
     def test_give_up_on_a_flooded_frontier(self):
         # D = 1 with huge caps: level-3 frontier has 64^3 = 262144 live
         # codelets, beyond (3 * 6)^4 / delta = 104976
-        tree = idealized_build_init(LevelConfig(ell=6, delta=1.0), 1)
+        tree = idealized_build_init(LevelConfig(ell=6, delta=1.0), 1, HALF)
         tree.caps.update({1: 64, 2: 4096, 3: 262144})
-        tree.fill_level1(0, HALF)
+        tree.fill_level1(0)
         for node in members(tree, 1):
             for ext in range(64):
-                tree.promote(node, ext, HALF)
+                tree.promote(node, ext)
         for node in members(tree, 2):
             for ext in range(64):
-                tree.promote(node, ext, HALF)
+                tree.promote(node, ext)
         window = BitSequence.zeros(24)
         _, give_up, sizes = search_widths(tree, window)
         assert give_up
@@ -461,9 +461,9 @@ def memo_tables(tree: CodebookTree) -> list:
 
 def searched(ell: int, dist, delta: float) -> CodebookTree:
     """A dictionary whose one search reads tables at levels 0 and 1."""
-    tree = idealized_build_init(small_config(ell=ell, delta=delta), dist)
-    tree.fill_level1(0b101, HALF)
-    tree.promote(members(tree, 1)[0], 0b011, HALF)
+    tree = idealized_build_init(small_config(ell=ell, delta=delta), dist, HALF)
+    tree.fill_level1(0b101)
+    tree.promote(members(tree, 1)[0], 0b011)
     tree.search(0b011101, 2 * ell)
     return tree
 

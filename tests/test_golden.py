@@ -18,7 +18,7 @@ from clp.codec import decode, encode_idealized, encode_practical
 from clp.dictionary import LevelConfig, default_step
 from clp.matching import MatchRelation
 
-GOLDEN_SHA256 = "80b9dbfb2e3b4f3ec6a587f155dbf0f4e66bb8805964d3e7e18c4eb0bcf7fb13"
+GOLDEN_SHA256 = "3ccb0a047c4f43d392abc8153c5b19b5e7cbc26c3de2859db8eaf399de2dbeb7"
 
 N_VALUES = (0, 1, 3, 37, 1000, 4099)
 D_VALUES = (Fraction(0), Fraction(1, 20), Fraction(11, 100), Fraction(1, 4), Fraction(1, 2))
